@@ -15,7 +15,7 @@ from .linalg import (
     jacobi_eigen,
     spectra_match,
 )
-from .nlspec import adjacency_spectrum, build, l_eigen, l_spectrum
+from .nlspec import adjacency_spectrum, build, l_spectrum
 
 __version__ = "1.0.0"
 
@@ -33,7 +33,6 @@ __all__ = [
     "from_graph6",
     "graph",
     "jacobi_eigen",
-    "l_eigen",
     "l_spectrum",
     "linalg",
     "nlspec",

@@ -33,20 +33,6 @@ from .graph import Graph, from_graph6, to_graph6, to_json_dict as graph_to_json_
 from .linalg import DEFAULT_CLUSTER_TOL, Spectrum, format_value
 
 
-VERIFY_SUITES = (
-    "lemma22",
-    "eq1",
-    "three-ev",
-    "four-ev",
-    "lemma23",
-    "lemma24",
-    "thm21",
-    "thm41",
-    "cor21",
-    "cor20",
-)
-
-
 # -- shared plumbing ----------------------------------------------------
 
 
@@ -311,30 +297,6 @@ def cmd_design(args) -> int:
 # -- verify -------------------------------------------------------------
 
 
-def _run_suite(suite: str, g: Graph, cluster_tol: float) -> nlspec.CheckReport:
-    if suite == "lemma22":
-        return nlspec.check_spectrum_fundamentals(g, cluster_tol=cluster_tol)
-    if suite == "eq1":
-        return nlspec.check_eigenvalue_product(g)
-    if suite == "three-ev":
-        return nlspec.check_three_ev_identities(g)
-    if suite == "lemma24":
-        return nlspec.check_three_ev_degree_bounds(g)
-    if suite == "four-ev":
-        diag = nlspec.check_four_ev_diagonal(g)
-        bip = nlspec.check_bipartite_four_ev(g)
-        return nlspec.CheckReport(suite="four-ev", results=diag.results + bip.results)
-    if suite == "lemma23":
-        return nlspec.check_duplicate_classes(g)
-    if suite == "thm21":
-        return nlspec.check_classification(g, cluster_tol=cluster_tol)
-    if suite == "cor21":
-        return nlspec.check_bipartite_duplicate_parity(g)
-    if suite == "cor20":
-        return nlspec.check_second_least_one(g)
-    raise ValueError(f"unknown suite {suite!r}")
-
-
 def cmd_verify(args) -> int:
     tol = _cluster_tol(args)
     if args.suite == "thm41":
@@ -348,10 +310,11 @@ def cmd_verify(args) -> int:
         return 0 if report.passed or not report.applicable else 1
     if args.t is not None:
         raise ValueError("--t only applies to the thm41 suite")
+    run = nlspec.SUITES[args.suite]
     failed = False
     entries = []
     for label, g in _input_graphs(args):
-        report = _run_suite(args.suite, g, tol)
+        report = run(nlspec.SpectralContext(g, tol))
         if report.applicable and not report.passed:
             failed = True
         entries.append({"input": label, "report": report.to_json_dict()})
@@ -453,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_des.set_defaults(func=cmd_design)
 
     p_ver = sub.add_parser("verify", help="run a named check suite, JSON report out")
-    p_ver.add_argument("suite", choices=VERIFY_SUITES)
+    p_ver.add_argument("suite", choices=(*nlspec.SUITES, "thm41"))
     p_ver.add_argument("graph", nargs="?", help="family name or graph6 string")
     p_ver.add_argument("--file", help="read graph6 lines from a file")
     p_ver.add_argument("--t", type=int, help="family parameter for the thm41 suite")

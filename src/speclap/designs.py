@@ -206,11 +206,6 @@ class FiniteField:
             )
         return self._squares
 
-    def is_square(self, x: int) -> bool:
-        """Quadratic-residue test; 0 counts as a square."""
-        self._check(x)
-        return x == 0 or x in self.squares()
-
     def __repr__(self) -> str:
         return f"FiniteField(p={self.p}, k={self.k})"
 

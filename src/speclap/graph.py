@@ -23,7 +23,6 @@ __all__ = [
     "bipartite_split",
     "diameter",
     "duplicate_classes",
-    "common_neighbors",
     "induced_subgraph",
     "is_complete_multipartite",
     "complement_graph",
@@ -96,18 +95,6 @@ class Graph:
             a[u, v] = 1.0
             a[v, u] = 1.0
         return a
-
-    def with_edges(self, extra: Iterable[tuple[int, int]]) -> "Graph":
-        """New graph with the given edges added (endpoints must exist)."""
-        rows = list(self.adj)
-        for u, v in extra:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return Graph(self.n, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -309,11 +296,6 @@ def duplicate_classes(g: Graph) -> list[DuplicateClass]:
         out.append(DuplicateClass(tuple(verts), "clique", outside))
     out.sort(key=lambda c: (c.vertices[0], c.kind))
     return out
-
-
-def common_neighbors(g: Graph, u: int, v: int) -> list[int]:
-    """Vertices adjacent to both u and v, ascending."""
-    return _mask_vertices(g.adj[u] & g.adj[v])
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:

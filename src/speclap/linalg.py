@@ -27,7 +27,6 @@ __all__ = [
     "as_symmetric",
     "jacobi_eigen",
     "cluster_spectrum",
-    "kronecker",
     "quadratic_roots",
     "spectra_match",
     "format_value",
@@ -78,22 +77,6 @@ class EigenDecomposition:
 
     values: np.ndarray
     vectors: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return self.values.shape[0]
-
-    def residual(self, m: np.ndarray) -> float:
-        """max-norm of M V - V diag(values)."""
-        r = m @ self.vectors - self.vectors * self.values[np.newaxis, :]
-        return float(np.abs(r).max()) if r.size else 0.0
-
-    def orthogonality_defect(self) -> float:
-        v = self.vectors
-        return float(np.abs(v.T @ v - np.eye(v.shape[0])).max()) if v.size else 0.0
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values[np.newaxis, :]) @ self.vectors.T
 
 
 def jacobi_eigen(
@@ -324,11 +307,6 @@ def spectra_match(
         if exact_multiplicities and cm != pm:
             ok = False
     return (ok and dev <= value_tol), dev
-
-
-def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the left factor indexing the coarse blocks."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def quadratic_roots(a2: float, a1: float, a0: float) -> tuple[float, float]:

@@ -17,8 +17,14 @@ check suites behind the CLI `verify` command:
 * classification of connected graphs with three distinct eigenvalues one of
   which is 1 -- suites "thm21", "cor20" -- and the odd-distinct-count parity
   consequence for bipartite graphs with duplicate vertices -- suite "cor21";
-* the bipartite half-matrix factorization of the spectrum and the
-  apex-plus-pendant family with four distinct eigenvalues -- suite "thm41".
+* the bipartite half-matrix factorization of the spectrum -- suite
+  "bipartite-factorization" -- and the apex-plus-pendant family with four
+  distinct eigenvalues -- suite "thm41".
+
+Every check reads its graph through a SpectralContext, which assembles L,
+solves it and clusters the spectrum at most once however many checks share
+it.  `SUITES` maps each graph-input suite name to a function of one context;
+"thm41" is not in it because it builds its own graph.
 
 Check functions never hide failures: every numeric claim lands in a
 CheckResult with its residual, and violated *mathematical* preconditions are
@@ -29,9 +35,10 @@ mismatched eigenvalue arguments) raises ValueError.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -48,7 +55,6 @@ from .graph import (
 )
 from .linalg import (
     DEFAULT_CLUSTER_TOL,
-    DEFAULT_JACOBI_TOL,
     EigenDecomposition,
     PredictedSpectrum,
     Spectrum,
@@ -59,13 +65,14 @@ from .linalg import (
 
 __all__ = [
     "LaplacianBundle",
+    "SpectralContext",
+    "SUITES",
     "EigenTriple",
     "BipartiteFactorization",
     "Classification",
     "CheckResult",
     "CheckReport",
     "build",
-    "l_eigen",
     "l_spectrum",
     "adjacency_spectrum",
     "triple_from_spectrum",
@@ -139,19 +146,42 @@ def build(g: Graph) -> LaplacianBundle:
     return LaplacianBundle(graph=g, A=A, D=d, L=L, Astar=Astar)
 
 
-def l_eigen(g: Graph, tol: float = DEFAULT_JACOBI_TOL) -> EigenDecomposition:
-    """Eigen-decomposition of the normalized Laplacian, values descending."""
-    return jacobi_eigen(build(g).L, tol=tol)
-
-
 def l_spectrum(g: Graph, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
     """Clustered L-spectrum of g."""
-    return cluster_spectrum(l_eigen(g).values, cluster_tol)
+    return SpectralContext(g, cluster_tol).spectrum
 
 
 def adjacency_spectrum(g: Graph, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
     """Clustered adjacency-matrix spectrum of g."""
     return cluster_spectrum(jacobi_eigen(g.adjacency_matrix()).values, cluster_tol)
+
+
+@dataclass
+class SpectralContext:
+    """One graph, its cluster tolerance, and the spectral data the checks
+    read: the LaplacianBundle, the eigen-decomposition of L and its clustered
+    spectrum.  Each is computed on first use and then kept, so the checks run
+    on one context share a single assembly and a single solve of L."""
+
+    graph: Graph
+    cluster_tol: float = DEFAULT_CLUSTER_TOL
+
+    @functools.cached_property
+    def bundle(self) -> LaplacianBundle:
+        return build(self.graph)
+
+    @functools.cached_property
+    def eigen(self) -> EigenDecomposition:
+        """Eigen-decomposition of L, values descending."""
+        return jacobi_eigen(self.bundle.L)
+
+    @functools.cached_property
+    def spectrum(self) -> Spectrum:
+        return cluster_spectrum(self.eigen.values, self.cluster_tol)
+
+
+def _context(g: "Graph | SpectralContext") -> SpectralContext:
+    return g if isinstance(g, SpectralContext) else SpectralContext(g)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +259,37 @@ def _precondition_report(suite: str, reason: str, witness: object = None) -> Che
     )
 
 
+def _suite(name: str, connected: bool = False, distinct: int | None = None):
+    """Turn `fn(ctx, ...)` into the check of suite `name`, which takes a
+    Graph (wrapped in a default SpectralContext) or a context.
+
+    With `connected`, disconnected input raises ValueError: the suite's
+    identities are stated for connected graphs only.  With `distinct`, a
+    spectrum without exactly that many distinct values, smallest 0, yields a
+    precondition report instead of running `fn`.
+    """
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def check(g: "Graph | SpectralContext", *args, **kwargs) -> CheckReport:
+            ctx = _context(g)
+            if connected and not is_connected(ctx.graph):
+                raise ValueError(f"suite {name!r} needs a connected graph")
+            if distinct is not None:
+                spec = ctx.spectrum
+                if spec.distinct_count != distinct or abs(spec.values[-1]) > _ZERO_TOL:
+                    return _precondition_report(
+                        name,
+                        f"need exactly {distinct} distinct L-eigenvalues with smallest 0",
+                        {"distinct": spec.distinct_count, "values": list(spec.values)},
+                    )
+            return fn(ctx, *args, **kwargs)
+
+        return check
+
+    return decorate
+
+
 # ---------------------------------------------------------------------------
 # eigenvalue triples
 
@@ -300,9 +361,9 @@ def _validate_triple(
 # fundamental spectrum properties
 
 
+@_suite("lemma22")
 def check_spectrum_fundamentals(
-    g: Graph,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+    ctx: SpectralContext,
     tol: float = FUNDAMENTAL_TOL,
 ) -> CheckReport:
     """The nine basic L-eigenvalue properties, suite "lemma22".
@@ -318,11 +379,11 @@ def check_spectrum_fundamentals(
     has no isolated vertices (an isolated vertex adds a 0 without a matching
     2, so the classical bipartite symmetry needs the extra hypothesis).
     """
+    g = ctx.graph
     n = g.n
     if n < 2:
         raise ValueError("fundamental checks need at least 2 vertices")
-    dec = l_eigen(g)
-    vals = dec.values  # descending
+    vals = ctx.eigen.values  # descending
     iso = int(np.sum(g.degrees() == 0))
     comps = components(g)
     complete = g.m == n * (n - 1) // 2
@@ -392,8 +453,11 @@ def check_spectrum_fundamentals(
         )
     )
 
-    union = np.concatenate([l_eigen(induced_subgraph(g, c)).values for c in comps])
-    union = np.sort(union)[::-1]
+    # a connected graph is its own only component: reuse its solve
+    parts = [vals] if len(comps) == 1 else [
+        SpectralContext(induced_subgraph(g, c)).eigen.values for c in comps
+    ]
+    union = np.sort(np.concatenate(parts))[::-1]
     union_dev = float(np.max(np.abs(union - vals)))
     results.append(
         CheckResult(
@@ -443,8 +507,9 @@ def check_spectrum_fundamentals(
 # rank-one product identity
 
 
+@_suite("eq1", connected=True)
 def check_eigenvalue_product(
-    g: Graph,
+    ctx: SpectralContext,
     spec: "Spectrum | Sequence[float] | None" = None,
     tol: float = IDENTITY_TOL,
 ) -> CheckReport:
@@ -460,10 +525,9 @@ def check_eigenvalue_product(
     computed.  Passing perturbed values makes the residual blow up, which is
     the converse direction of the identity.
     """
-    if not is_connected(g):
-        raise ValueError("the product identity needs a connected graph")
+    g = ctx.graph
     if spec is None:
-        spec = l_spectrum(g)
+        spec = ctx.spectrum
     if isinstance(spec, Spectrum):
         if abs(spec.values[-1]) > _ZERO_TOL:
             raise ValueError("spectrum must include the zero eigenvalue cluster")
@@ -473,7 +537,7 @@ def check_eigenvalue_product(
         if not nonzero or any(v <= 0 for v in nonzero):
             raise ValueError("need the distinct nonzero eigenvalues")
     s = len(nonzero) + 1
-    bundle = build(g)
+    bundle = ctx.bundle
     n = g.n
     lhs = np.eye(n)
     for lam in nonzero:
@@ -503,8 +567,9 @@ def _inverse_degree_sum(d: np.ndarray, verts: Sequence[int]) -> float:
     return float(sum(1.0 / d[w] for w in verts))
 
 
+@_suite("three-ev", connected=True, distinct=3)
 def check_three_ev_identities(
-    g: Graph,
+    ctx: SpectralContext,
     t: EigenTriple | None = None,
     tol: float = IDENTITY_TOL,
     match_tol: float = PAPER_PRECISION_TOL,
@@ -528,21 +593,11 @@ def check_three_ev_identities(
     `match_tol` (ValueError on mismatch) and then used as-is, so
     four-decimal inputs surface their own rounding residuals.
     """
-    if not is_connected(g):
-        raise ValueError("these identities need a connected graph")
-    spec = l_spectrum(g)
-    if spec.distinct_count != 3 or abs(spec.values[-1]) > _ZERO_TOL:
-        return _precondition_report(
-            "three-ev",
-            "need exactly 3 distinct L-eigenvalues with smallest 0",
-            {"distinct": spec.distinct_count, "values": list(spec.values)},
-        )
-    trip = _validate_triple(t, spec, match_tol)
-    if trip.gamma is not None:
-        raise ValueError("expected a pair (alpha, beta), got three values")
+    g = ctx.graph
+    trip = _validate_triple(t, ctx.spectrum, match_tol)
     alpha, beta = trip.alpha, trip.beta
 
-    bundle = build(g)
+    bundle = ctx.bundle
     n, m = g.n, g.m
     d = bundle.D
     coef = alpha * beta / (2 * m)
@@ -605,8 +660,9 @@ def check_three_ev_identities(
     return CheckReport(suite="three-ev", results=tuple(results))
 
 
+@_suite("lemma24", connected=True, distinct=3)
 def check_three_ev_degree_bounds(
-    g: Graph,
+    ctx: SpectralContext,
     t: EigenTriple | None = None,
     tol: float = IDENTITY_TOL,
 ) -> CheckReport:
@@ -617,16 +673,8 @@ def check_three_ev_degree_bounds(
     vertices must share the same neighborhood; when beta < 1 their degree
     gap obeys |d_u - d_v| <= -2m (alpha-1)(beta-1) / (alpha beta).
     """
-    if not is_connected(g):
-        raise ValueError("these bounds need a connected graph")
-    spec = l_spectrum(g)
-    if spec.distinct_count != 3 or abs(spec.values[-1]) > _ZERO_TOL:
-        return _precondition_report(
-            "lemma24",
-            "need exactly 3 distinct L-eigenvalues with smallest 0",
-            {"distinct": spec.distinct_count, "values": list(spec.values)},
-        )
-    trip = _validate_triple(t, spec, PAPER_PRECISION_TOL)
+    g = ctx.graph
+    trip = _validate_triple(t, ctx.spectrum, PAPER_PRECISION_TOL)
     alpha, beta = trip.alpha, trip.beta
     results = [
         CheckResult(
@@ -679,8 +727,9 @@ def check_three_ev_degree_bounds(
 # four distinct eigenvalues
 
 
+@_suite("four-ev", connected=True, distinct=4)
 def check_four_ev_diagonal(
-    g: Graph,
+    ctx: SpectralContext,
     t: EigenTriple | None = None,
     tol: float = IDENTITY_TOL,
     match_tol: float = PAPER_PRECISION_TOL,
@@ -698,18 +747,10 @@ def check_four_ev_diagonal(
     pairs (v, w) of adjacent neighbors of u, so each triangle through u
     contributes twice.
     """
-    if not is_connected(g):
-        raise ValueError("this identity needs a connected graph")
-    spec = l_spectrum(g)
-    if spec.distinct_count != 4 or abs(spec.values[-1]) > _ZERO_TOL:
-        return _precondition_report(
-            "four-ev",
-            "need exactly 4 distinct L-eigenvalues with smallest 0",
-            {"distinct": spec.distinct_count, "values": list(spec.values)},
-        )
-    trip = _validate_triple(t, spec, match_tol)
+    g = ctx.graph
+    trip = _validate_triple(t, ctx.spectrum, match_tol)
     alpha, beta, gamma = trip.alpha, trip.beta, trip.gamma
-    d = g.degrees().astype(float)
+    d = ctx.bundle.D
     m = g.m
     coef = alpha * beta * gamma / (2 * m)
 
@@ -742,8 +783,9 @@ def check_four_ev_diagonal(
     )
 
 
+@_suite("four-ev", connected=True)
 def check_bipartite_four_ev(
-    g: Graph,
+    ctx: SpectralContext,
     alpha: float | None = None,
     tol: float = IDENTITY_TOL,
     match_tol: float = PAPER_PRECISION_TOL,
@@ -758,10 +800,9 @@ def check_bipartite_four_ev(
     (note the denominator m, not 2m).  A supplied alpha is validated against
     the computed spectrum within `match_tol`.
     """
-    if not is_connected(g):
-        raise ValueError("these identities need a connected graph")
+    g = ctx.graph
     split = bipartite_split(g)
-    spec = l_spectrum(g)
+    spec = ctx.spectrum
     shape_ok = (
         split is not None
         and spec.distinct_count == 4
@@ -787,7 +828,7 @@ def check_bipartite_four_ev(
             f"alpha={alpha} deviates from the computed value {spec.values[2]:.10g}"
         )
 
-    d = g.degrees().astype(float)
+    d = ctx.bundle.D
     m = g.m
     coef = alpha * (2 - alpha) / m
 
@@ -856,7 +897,8 @@ def duplicate_class_eigenvector(
     return x, predicted
 
 
-def check_duplicate_classes(g: Graph, tol: float = EIGENVECTOR_TOL) -> CheckReport:
+@_suite("lemma23")
+def check_duplicate_classes(ctx: SpectralContext, tol: float = EIGENVECTOR_TOL) -> CheckReport:
     """Verify every duplicate class's predicted eigenvectors, suite "lemma23".
 
     Each class of p vertices with shared neighborhoods contributes p-1
@@ -864,11 +906,12 @@ def check_duplicate_classes(g: Graph, tol: float = EIGENVECTOR_TOL) -> CheckRepo
     residual ||L x - lambda x||_inf < tol for each, and that the predicted
     eigenvalue appears with multiplicity >= p-1.
     """
+    g = ctx.graph
     classes = duplicate_classes(g)
     if not classes:
         return _precondition_report("lemma23", "no duplicate classes in the graph")
-    bundle = build(g)
-    vals = l_eigen(g).values
+    bundle = ctx.bundle
+    vals = ctx.eigen.values
     results = []
     for idx, cls in enumerate(classes):
         worst = 0.0
@@ -932,22 +975,23 @@ class Classification:
 
 
 def classify_three_with_one(
-    g: Graph,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+    g: "Graph | SpectralContext",
     value_tol: float = IDENTITY_TOL,
 ) -> Classification:
     """Classify a connected graph whose spectrum has exactly three distinct
-    values, one of which is 1.
+    values, one of which is 1; `g` may be a Graph or a SpectralContext.
 
     Such graphs are exactly the complete bipartite graphs K_{s,n-s} and the
     complete multipartite graphs with r >= 3 equal parts.  The verdict is
     NotInClass precisely when the spectral condition fails.
     """
+    ctx = _context(g)
+    g = ctx.graph
     if g.n < 3:
         raise ValueError("classification needs at least 3 vertices")
     if not is_connected(g):
         raise ValueError("classification needs a connected graph")
-    spec = l_spectrum(g, cluster_tol)
+    spec = ctx.spectrum
     has_one = any(abs(v - 1.0) <= value_tol for v in spec.values)
     condition = spec.distinct_count == 3 and has_one
     parts = is_complete_multipartite(g)
@@ -970,9 +1014,9 @@ def classify_three_with_one(
     )
 
 
+@_suite("thm21")
 def check_classification(
-    g: Graph,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+    ctx: SpectralContext,
     value_tol: float = IDENTITY_TOL,
 ) -> CheckReport:
     """Cross-check the 3-eigenvalue classification, suite "thm21".
@@ -985,7 +1029,8 @@ def check_classification(
     """
     from . import families
 
-    cls = classify_three_with_one(g, cluster_tol, value_tol)
+    g = ctx.graph
+    cls = classify_three_with_one(ctx, value_tol)
     spec = cls.spectrum
     condition = cls.distinct_count == 3 and cls.has_one
     results = [
@@ -1034,20 +1079,20 @@ def check_classification(
     return CheckReport(suite="thm21", results=tuple(results))
 
 
-def check_second_least_one(g: Graph, tol: float = IDENTITY_TOL) -> CheckReport:
+@_suite("cor20", connected=True)
+def check_second_least_one(ctx: SpectralContext, tol: float = IDENTITY_TOL) -> CheckReport:
     """Second-least eigenvalue criterion, suite "cor20".
 
     For a connected non-complete graph the second-least L-eigenvalue is at
     most 1, with equality precisely when the graph is complete multipartite.
     Complete input is reported as not applicable.
     """
+    g = ctx.graph
     if g.n < 2:
         raise ValueError("criterion needs at least 2 vertices")
-    if not is_connected(g):
-        raise ValueError("criterion needs a connected graph")
     if g.m == g.n * (g.n - 1) // 2:
         return _precondition_report("cor20", "complete graphs are excluded")
-    vals = l_eigen(g).values
+    vals = ctx.eigen.values
     second_least = float(vals[-2])
     parts = is_complete_multipartite(g)
     at_one = abs(second_least - 1.0) <= tol
@@ -1073,7 +1118,8 @@ def check_second_least_one(g: Graph, tol: float = IDENTITY_TOL) -> CheckReport:
     )
 
 
-def check_bipartite_duplicate_parity(g: Graph) -> CheckReport:
+@_suite("cor21")
+def check_bipartite_duplicate_parity(ctx: SpectralContext) -> CheckReport:
     """Distinct-eigenvalue parity for bipartite graphs with duplicate
     vertices, suite "cor21".
 
@@ -1082,12 +1128,13 @@ def check_bipartite_duplicate_parity(g: Graph) -> CheckReport:
     distinct eigenvalues is odd.  Non-bipartite input or absence of a
     duplicate class is reported as not applicable.
     """
+    g = ctx.graph
     if bipartite_split(g) is None:
         return _precondition_report("cor21", "graph is not bipartite")
     indep = [c for c in duplicate_classes(g) if c.kind == "independent"]
     if not indep:
         return _precondition_report("cor21", "no independent duplicate class")
-    spec = l_spectrum(g)
+    spec = ctx.spectrum
     return CheckReport(
         suite="cor21",
         results=(
@@ -1164,9 +1211,11 @@ def bipartite_factorization(g: Graph) -> BipartiteFactorization:
     )
 
 
-def check_bipartite_factorization(g: Graph, tol: float = 1e-8) -> CheckReport:
+@_suite("bipartite-factorization")
+def check_bipartite_factorization(ctx: SpectralContext, tol: float = 1e-8) -> CheckReport:
     """Compare the factorized eigenvalues against the direct L-spectrum,
     suite "bipartite-factorization"."""
+    g = ctx.graph
     if bipartite_split(g) is None:
         return _precondition_report("bipartite-factorization", "graph is not bipartite")
     if np.any(g.degrees() == 0):
@@ -1175,7 +1224,7 @@ def check_bipartite_factorization(g: Graph, tol: float = 1e-8) -> CheckReport:
         )
     fact = bipartite_factorization(g)
     predicted = fact.predicted_values()
-    direct = l_eigen(g).values
+    direct = ctx.eigen.values
     dev = float(np.max(np.abs(predicted - direct)))
     return CheckReport(
         suite="bipartite-factorization",
@@ -1244,3 +1293,31 @@ def check_pendant_join_family(t: int, tol: float = 1e-9) -> CheckReport:
             ),
         ),
     )
+
+
+# ---------------------------------------------------------------------------
+# suite registry
+
+
+def _four_ev(ctx: SpectralContext) -> CheckReport:
+    """Both four-value checks on one context, as one report."""
+    diag = check_four_ev_diagonal(ctx)
+    bip = check_bipartite_four_ev(ctx)
+    return CheckReport(suite="four-ev", results=diag.results + bip.results)
+
+
+#: graph-input suite name -> check of one SpectralContext.  The lambdas look
+#: each check up by name when called, so a wrapper later installed on a
+#: module attribute (to time or count it) sees every suite call.
+SUITES: dict[str, Callable[[SpectralContext], CheckReport]] = {
+    "lemma22": lambda ctx: check_spectrum_fundamentals(ctx),
+    "eq1": lambda ctx: check_eigenvalue_product(ctx),
+    "three-ev": lambda ctx: check_three_ev_identities(ctx),
+    "four-ev": _four_ev,
+    "lemma23": lambda ctx: check_duplicate_classes(ctx),
+    "lemma24": lambda ctx: check_three_ev_degree_bounds(ctx),
+    "thm21": lambda ctx: check_classification(ctx),
+    "cor21": lambda ctx: check_bipartite_duplicate_parity(ctx),
+    "cor20": lambda ctx: check_second_least_one(ctx),
+    "bipartite-factorization": lambda ctx: check_bipartite_factorization(ctx),
+}

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import speclap.scans as scans
-from speclap.cli import main
+from speclap import nlspec
+from speclap.cli import build_parser, main
 from speclap.families import parse_family
 from speclap.graph import from_graph6
 from speclap.linalg import format_value
@@ -274,6 +275,7 @@ def test_verify_each_suite_on_fitting_graph(capsys):
         "thm21": "Kmulti:3,3",
         "cor21": "Kmulti:2,3",
         "cor20": "C5",
+        "bipartite-factorization": "Kmulti:2,3",
     }
     for suite, token in fitting.items():
         code, out, _ = run(capsys, "verify", suite, token)
@@ -284,9 +286,26 @@ def test_verify_each_suite_on_fitting_graph(capsys):
 
 
 def test_verify_inapplicable_is_success(capsys):
-    code, out, _ = run(capsys, "verify", "lemma24", "P5")
+    for suite, token in [("lemma24", "P5"), ("bipartite-factorization", "C5")]:
+        code, out, _ = run(capsys, "verify", suite, token)
+        assert code == 0, suite
+        assert json.loads(out)["report"]["applicable"] is False, suite
+
+
+def test_verify_tol_reaches_suite(capsys, monkeypatch):
+    # at --tol 0.8 C5 clusters to two values, so it is no 3-value graph
+    code, out, _ = run(capsys, "verify", "three-ev", "C5", "--tol", "0.8")
     assert code == 0
     assert json.loads(out)["report"]["applicable"] is False
+    monkeypatch.setenv("SPECLAP_TOL", "0.8")
+    code, out2, _ = run(capsys, "verify", "three-ev", "C5")
+    assert (code, out2) == (0, out)
+
+
+def test_verify_suite_choices_are_the_registry():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert set(suite.choices) == set(nlspec.SUITES) | {"thm41"}
 
 
 def test_verify_multiple_graphs_from_stdin(capsys, monkeypatch):

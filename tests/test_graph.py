@@ -139,11 +139,8 @@ def test_duplicate_classes_path_has_none():
     assert duplicate_classes(path(4)) == []
 
 
-def test_common_neighbors_and_induced():
+def test_induced_subgraph():
     g = complete_bipartite(2, 3)
-    from speclap.graph import common_neighbors
-
-    assert common_neighbors(g, 0, 1) == [2, 3, 4]
     sub = induced_subgraph(g, [0, 2, 3])
     assert sub.n == 3 and sub.m == 2
 

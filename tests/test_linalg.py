@@ -11,7 +11,6 @@ from speclap.linalg import (
     cluster_spectrum,
     format_value,
     jacobi_eigen,
-    kronecker,
     quadratic_roots,
     spectra_match,
 )
@@ -128,12 +127,6 @@ def test_quadratic_roots():
     assert (hi, lo) == (2.0, 1.0)
     with pytest.raises(ValueError):
         quadratic_roots(1.0, 0.0, 1.0)  # negative discriminant
-
-
-def test_kronecker_matches_numpy():
-    rng = np.random.default_rng(5)
-    a, b = rng.standard_normal((2, 3)), rng.standard_normal((4, 2))
-    assert np.array_equal(kronecker(a, b), np.kron(a, b))
 
 
 def test_format_value_precisions():

@@ -3,18 +3,22 @@
 import numpy as np
 import pytest
 
+from speclap import nlspec
 from speclap.families import (
     complete,
     complete_bipartite,
     complete_multipartite,
     cycle,
+    parse_family,
     path,
     unicyclic,
 )
 from speclap.graph import Graph, duplicate_classes, from_edge_list, union_disjoint
 from speclap.linalg import cluster_spectrum
 from speclap.nlspec import (
+    SUITES,
     EigenTriple,
+    SpectralContext,
     adjacency_spectrum,
     bipartite_factorization,
     build,
@@ -518,3 +522,31 @@ def test_classification_json_shape():
     assert d["verdict"] == "CompleteBipartite"
     assert d["params"] == [2, 2]
     assert d["spectrum"]["order"] == 4
+
+
+# -- spectral context and suite registry -----------------------------------
+
+
+@pytest.mark.parametrize("token", ["P4", "Kmulti:2,3", "U2:1"])
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suite_assembles_and_solves_l_once(name, token, monkeypatch):
+    g = parse_family(token)
+    built, solved = [], []
+    real_build, real_jacobi = nlspec.build, nlspec.jacobi_eigen
+
+    def counting_build(h):
+        built.append(h)
+        return real_build(h)
+
+    def counting_jacobi(m, *args, **kwargs):
+        solved.append(len(m))
+        return real_jacobi(m, *args, **kwargs)
+
+    monkeypatch.setattr(nlspec, "build", counting_build)
+    monkeypatch.setattr(nlspec, "jacobi_eigen", counting_jacobi)
+    SUITES[name](SpectralContext(g))
+    assert len(built) <= 1
+    assert solved.count(g.n) <= 1
+    # besides L, only the factorization suite solves a matrix: the smaller
+    # Gram matrix of the biadjacency block
+    assert len(solved) - solved.count(g.n) <= (name == "bipartite-factorization")
