@@ -6,7 +6,7 @@ classification criteria those closed forms rest on, and exhaustively scan
 small graphs for prescribed spectral shapes.
 """
 
-from . import cli, designs, families, graph, linalg, nlspec, scans
+from . import designs, families, graph, linalg, nlspec, scans
 from .graph import Graph, from_edge_list, from_graph6, to_graph6
 from .linalg import (
     PredictedSpectrum,
@@ -25,7 +25,6 @@ __all__ = [
     "Spectrum",
     "adjacency_spectrum",
     "build",
-    "cli",
     "cluster_spectrum",
     "designs",
     "families",

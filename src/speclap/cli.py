@@ -59,15 +59,17 @@ def _emit(args, text: str) -> None:
 
 
 def _cluster_tol(args) -> float:
+    """--tol, else SPECLAP_TOL, else the default; a given value must be
+    positive (NaN is rejected too)."""
     if getattr(args, "tol", None) is not None:
-        return args.tol
-    env = os.environ.get("SPECLAP_TOL")
-    if env is not None:
-        tol = float(env)
-        if tol <= 0:
-            raise ValueError(f"SPECLAP_TOL must be positive, got {env!r}")
-        return tol
-    return DEFAULT_CLUSTER_TOL
+        source, tol = "--tol", args.tol
+    elif "SPECLAP_TOL" in os.environ:
+        source, tol = "SPECLAP_TOL", float(os.environ["SPECLAP_TOL"])
+    else:
+        return DEFAULT_CLUSTER_TOL
+    if not tol > 0:
+        raise ValueError(f"{source} must be positive, got {tol!r}")
+    return tol
 
 
 def _read_source(args) -> str:

@@ -171,7 +171,7 @@ class Spectrum:
     cluster_tol: float
 
     def __post_init__(self):
-        if self.cluster_tol <= 0:
+        if not self.cluster_tol > 0:
             raise ValueError("cluster_tol must be positive")
         vals = [v for v, _ in self.pairs]
         mults = [m for _, m in self.pairs]
@@ -234,7 +234,7 @@ def cluster_spectrum(
     between neighbours exceeds `cluster_tol`.  Idempotent on already-clustered
     data because surviving gaps exceed the tolerance by construction.
     """
-    if cluster_tol <= 0:
+    if not cluster_tol > 0:
         raise ValueError("cluster_tol must be positive")
     arr = np.sort(np.asarray(list(values), dtype=float))
     if arr.size == 0:

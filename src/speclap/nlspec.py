@@ -523,9 +523,12 @@ def check_eigenvalue_product(
     `spec` may be a clustered Spectrum (its zero cluster is dropped) or the
     bare sequence of distinct nonzero values; by default the spectrum is
     computed.  Passing perturbed values makes the residual blow up, which is
-    the converse direction of the identity.
+    the converse direction of the identity.  A graph without edges (K1) has
+    no 2m to divide by and gets a precondition report.
     """
     g = ctx.graph
+    if g.m == 0:
+        return _precondition_report("eq1", "needs at least one edge")
     if spec is None:
         spec = ctx.spectrum
     if isinstance(spec, Spectrum):

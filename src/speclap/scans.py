@@ -10,16 +10,22 @@ Three searches back the package's classification checks with brute force:
 * scan_unicyclic -- the parametric unicyclic families up to a parameter
   bound, tabulated by distinct-eigenvalue count.
 
-The labeled-mask space is processed in blocks with a fully vectorized
-pipeline (edge-bit extraction, adjacency row masks, popcount degrees,
-even/odd reachability for connectedness + bipartiteness, batched dense
-eigensolves) and a cheap clustered-gap predicate.  Every candidate the fast
-route produces is then *confirmed* one graph at a time with the package's
-own eigensolver before it may become a hit; graphs whose eigenvalue gaps
-fall in the ambiguous window [1e-7, 1e-5] are re-tested the same way at
-tightened precision and logged, whether or not the fast route matched them.
-Hits are deduplicated by canonical form (minimal adjacency bitstring over
-all vertex permutations).
+The two mask scans share one per-order driver.  The labeled-mask space is
+processed in blocks with a fully vectorized pipeline (edge-bit extraction,
+adjacency row masks, popcount degrees, even/odd reachability for
+connectedness + bipartiteness, batched dense eigensolves) and a cheap
+clustered-gap predicate.  The candidates it nominates are walked in
+ascending mask order and keyed by canonical form (minimal adjacency
+bitstring over all vertex permutations); the first one of each isomorphism
+class is *confirmed* with the package's own Jacobi eigensolver, so each
+class is solved once, not each labeled copy.
+
+Every tolerance follows the cluster tolerance `tol` (the CLI's --tol): the
+predicate compares values to within `tol`, and a graph with a neighbouring
+eigenvalue gap in the window [tol/10, 10*tol], where rounding could decide
+the clustering, is re-solved at tightened precision and logged as
+borderline, whether or not the fast route matched it.  The unicyclic scan
+applies the same window to each member's raw eigenvalues.
 
 Blocks can be spread over worker processes; results are merged in block
 order, so parallel and serial runs return identical reports.
@@ -28,16 +34,21 @@ order, so parallel and serial runs return identical reports.
 from __future__ import annotations
 
 import itertools
-import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .families import UnicyclicSpec, all_unicyclic_specs, unicyclic
+from .families import all_unicyclic_specs, unicyclic
 from .graph import Graph, to_graph6
-from .linalg import Spectrum, cluster_spectrum, format_value, jacobi_eigen
-from .nlspec import build, l_spectrum
+from .linalg import (
+    DEFAULT_CLUSTER_TOL,
+    Spectrum,
+    cluster_spectrum,
+    format_value,
+    jacobi_eigen,
+)
+from .nlspec import build
 
 __all__ = [
     "SpectrumPredicate",
@@ -53,9 +64,6 @@ __all__ = [
 
 _BLOCK = 1 << 18
 _EIG_CHUNK = 1 << 15
-_BORDERLINE_LO = 1e-7
-_BORDERLINE_HI = 1e-5
-_VALUE_TOL = 1e-6
 
 # number of labeled connected graphs on n vertices, for self-checks
 LABELED_CONNECTED_COUNTS = {
@@ -76,7 +84,8 @@ LABELED_CONNECTED_COUNTS = {
 
 @dataclass(frozen=True)
 class SpectrumPredicate:
-    """A property of the clustered L-spectrum used to filter scans.
+    """A property of the clustered L-spectrum used to filter scans.  A
+    target value matches an eigenvalue within the cluster tolerance.
 
     kinds:
       "distinct"              -- exactly k distinct eigenvalues
@@ -87,7 +96,6 @@ class SpectrumPredicate:
     kind: str
     k: int | None = None
     value: float | None = None
-    value_tol: float = _VALUE_TOL
 
     def __post_init__(self):
         if self.kind not in ("distinct", "distinct-with-value", "second-distinct-value"):
@@ -106,30 +114,24 @@ class SpectrumPredicate:
 
     def matches(self, spec: Spectrum) -> bool:
         """Exact-route evaluation on a clustered spectrum."""
+        tol = spec.cluster_tol
         if self.kind == "distinct":
             return spec.distinct_count == self.k
         if self.kind == "distinct-with-value":
             return spec.distinct_count == self.k and any(
-                abs(v - self.value) <= self.value_tol for v in spec.values
+                abs(v - self.value) <= tol for v in spec.values
             )
-        return (
-            spec.distinct_count >= 2
-            and abs(spec.values[-2] - self.value) <= self.value_tol
-        )
+        return spec.distinct_count >= 2 and abs(spec.values[-2] - self.value) <= tol
 
     def matches_batch(self, vals: np.ndarray, cluster_tol: float) -> np.ndarray:
         """Fast-route evaluation on ascending eigenvalue rows (B, n)."""
-        if vals.shape[1] == 1:
-            distinct = np.ones(len(vals), dtype=np.int64)
-            gaps = np.zeros((len(vals), 0))
-        else:
-            gaps = np.diff(vals, axis=1)
-            distinct = 1 + (gaps > cluster_tol).sum(axis=1)
+        gaps = np.diff(vals, axis=1)
+        distinct = 1 + (gaps > cluster_tol).sum(axis=1)
         if self.kind == "distinct":
             return distinct == self.k
         if self.kind == "distinct-with-value":
             return (distinct == self.k) & (
-                np.abs(vals - self.value) <= self.value_tol
+                np.abs(vals - self.value) <= cluster_tol
             ).any(axis=1)
         if vals.shape[1] == 1:
             return np.zeros(len(vals), dtype=bool)
@@ -137,7 +139,7 @@ class SpectrumPredicate:
         has_gap = new.any(axis=1)
         first = np.argmax(new, axis=1)
         second = vals[np.arange(len(vals)), first + 1]
-        return has_gap & (np.abs(second - self.value) <= self.value_tol)
+        return has_gap & (np.abs(second - self.value) <= cluster_tol)
 
 
 PREDICATE_GRAMMAR = """\
@@ -166,17 +168,10 @@ def parse_predicate(token: str) -> SpectrumPredicate:
 # mask <-> graph plumbing
 
 
-def _pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    pairs = list(itertools.combinations(range(n), 2))
-    if not pairs:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    arr = np.array(pairs, dtype=np.int64)
-    return arr[:, 0], arr[:, 1]
-
-
 def graph_from_mask(n: int, mask: int) -> Graph:
-    """Decode a labeled graph from its edge bitmask (bit k = k-th pair in
-    (0,1), (0,2), (1,2), (0,3), ... order, i.e. upper-triangle row order)."""
+    """Decode a labeled graph from its edge bitmask: bit k is the k-th pair
+    in (0,1), (0,2), ..., (0,n-1), (1,2), ... order, i.e. upper-triangle row
+    order."""
     adj = [0] * n
     for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
         if (mask >> k) & 1:
@@ -300,7 +295,7 @@ class ScanReport:
 def _block_rows_degrees(masks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Adjacency row masks (B, n) and degrees (B, n) for a mask block."""
     P = n * (n - 1) // 2
-    I, J = _pair_arrays(n)
+    I, J = np.triu_indices(n, 1)  # the pairs in mask-bit order
     bits = ((masks[:, None] >> np.arange(P, dtype=np.int64)[None, :]) & 1).astype(
         np.int32
     )
@@ -328,77 +323,54 @@ def _reach_even_odd(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return even, odd
 
 
-def _batched_l_values(
-    bits: np.ndarray, degs: np.ndarray, n: int
-) -> np.ndarray:
-    """Ascending L-eigenvalues for each graph row of a bit block."""
-    I, J = _pair_arrays(n)
-    B = len(bits)
-    A = np.zeros((B, n, n))
-    A[:, I, J] = bits
-    A[:, J, I] = bits
+def _batched_l_values(rows: np.ndarray, degs: np.ndarray, n: int) -> np.ndarray:
+    """Ascending L-eigenvalues for each graph of a block, given its adjacency
+    row masks and degrees."""
+    A = ((rows[:, :, None] >> np.arange(n)[None, None, :]) & 1).astype(float)
     d = degs.astype(float)
     s = np.where(d > 0, 1.0 / np.sqrt(np.maximum(d, 1.0)), 0.0)
-    Astar = A * s[:, :, None] * s[:, None, :]
-    L = -Astar
+    L = -(A * s[:, :, None] * s[:, None, :])
     diag = np.arange(n)
     L[:, diag, diag] += (d > 0).astype(float)
     return np.linalg.eigvalsh(L)
 
 
+def _borderline(vals: np.ndarray, cluster_tol: float) -> np.ndarray:
+    """Whether ascending eigenvalues (one row per graph) have a neighbouring
+    gap in the window [cluster_tol / 10, 10 * cluster_tol], where rounding
+    could decide whether the two values cluster."""
+    gaps = np.diff(vals, axis=-1)
+    return ((gaps >= cluster_tol / 10) & (gaps <= cluster_tol * 10)).any(axis=-1)
+
+
 def _scan_block(task: tuple) -> dict:
     """Process one mask block; returns candidate / borderline masks and
     counters.  Pure function of its arguments (safe as a worker)."""
-    kind, n, start, stop, predicate, cluster_tol = task
+    n, start, stop, pendant_bipartite, predicate, cluster_tol = task
     masks = np.arange(start, stop, dtype=np.int64)
-    out = {
-        "scanned": int(stop - start),
-        "connected": 0,
-        "eigensolved": 0,
-        "candidates": [],
-        "borderline": [],
-    }
-    if n == 1:
-        # single vertex: one graph, spectrum {0}
-        out["connected"] = 1
-        out["eigensolved"] = 1
-        if predicate.matches_batch(np.zeros((1, 1)), cluster_tol)[0]:
-            out["candidates"].append(0)
-        return out
-
     rows, degs = _block_rows_degrees(masks, n)
-    alive = np.ones(len(masks), dtype=bool)
-    if kind == "bipartite-pendant":
-        alive &= (degs == 1).any(axis=1)
-    idx = np.nonzero(alive)[0]
+    if pendant_bipartite:
+        idx = np.nonzero((degs == 1).any(axis=1))[0]
+    else:
+        idx = np.arange(len(masks))
     even, odd = _reach_even_odd(rows[idx], n)
-    full = (1 << n) - 1
-    connected = (even | odd) == full
-    if kind == "bipartite-pendant":
-        keep = connected & ((even & odd) == 0)
-    else:
-        keep = connected
-    surv = idx[keep]
-    # the connectivity count is only meaningful when nothing was pre-pruned
-    if kind == "bipartite-pendant":
-        out["connected"] = -1
-    else:
-        out["connected"] = int(connected.sum())
-    out["eigensolved"] = len(surv)
-
-    P = n * (n - 1) // 2
+    connected = (even | odd) == (1 << n) - 1
+    surv = idx[connected & ((even & odd) == 0)] if pendant_bipartite else idx[connected]
+    candidates: list[int] = []
+    borderline: list[int] = []
     for lo in range(0, len(surv), _EIG_CHUNK):
         chunk = surv[lo : lo + _EIG_CHUNK]
-        bits = (
-            (masks[chunk][:, None] >> np.arange(P, dtype=np.int64)[None, :]) & 1
-        ).astype(float)
-        vals = _batched_l_values(bits, degs[chunk], n)
+        vals = _batched_l_values(rows[chunk], degs[chunk], n)
         matched = predicate.matches_batch(vals, cluster_tol)
-        gaps = np.diff(vals, axis=1)
-        ambiguous = ((gaps >= _BORDERLINE_LO) & (gaps <= _BORDERLINE_HI)).any(axis=1)
-        out["candidates"].extend(int(masks[c]) for c in chunk[matched])
-        out["borderline"].extend(int(masks[c]) for c in chunk[ambiguous])
-    return out
+        candidates.extend(masks[chunk[matched]].tolist())
+        borderline.extend(masks[chunk[_borderline(vals, cluster_tol)]].tolist())
+    return {
+        "scanned": len(masks),
+        "connected": int(connected.sum()),
+        "eigensolved": len(surv),
+        "candidates": candidates,
+        "borderline": borderline,
+    }
 
 
 def _run_blocks(tasks: list[tuple], jobs: int) -> list[dict]:
@@ -408,62 +380,102 @@ def _run_blocks(tasks: list[tuple], jobs: int) -> list[dict]:
         return list(pool.map(_scan_block, tasks, chunksize=1))
 
 
-def _confirm_and_collect(
-    kind: str,
+# ---------------------------------------------------------------------------
+# confirmation with the exact route
+
+
+def _tight_spectrum(
+    g: Graph,
+    predicate: SpectrumPredicate | None,
+    cluster_tol: float,
+    borderline_log: list[dict],
+    **note,
+) -> Spectrum:
+    """Solve a borderline graph at tightened Jacobi precision and log the
+    outcome, with the scan's own `note` fields appended."""
+    spec = cluster_spectrum(jacobi_eigen(build(g).L, tol=1e-14).values, cluster_tol)
+    borderline_log.append(
+        {
+            "n": g.n,
+            "graph6": to_graph6(g) if g.n <= 62 else None,
+            "distinct_count": spec.distinct_count,
+            "matched": predicate is None or predicate.matches(spec),
+            **note,
+        }
+    )
+    return spec
+
+
+def _hit(
+    g: Graph, canonical: int | None, spec: Spectrum, label: str | None = None
+) -> ScanHit:
+    return ScanHit(
+        n=g.n,
+        canonical=canonical,
+        graph6=to_graph6(g) if g.n <= 62 else "",
+        spectrum=spec,
+        distinct_count=spec.distinct_count,
+        label=label,
+    )
+
+
+def _scan_order(
     n: int,
-    block_results: list[dict],
+    pendant_bipartite: bool,
     predicate: SpectrumPredicate,
     cluster_tol: float,
+    jobs: int,
     hits: dict,
     borderline_log: list[dict],
-    counts_n: dict,
-) -> None:
-    """Re-run every candidate / ambiguous mask through the exact eigensolver
-    and fold confirmed hits into `hits` keyed by canonical form."""
-    candidates = sorted(set(m for r in block_results for m in r["candidates"]))
-    ambiguous = sorted(set(m for r in block_results for m in r["borderline"]))
-    counts_n["scanned"] = sum(r["scanned"] for r in block_results)
-    if kind != "bipartite-pendant":
-        counts_n["connected"] = sum(r["connected"] for r in block_results)
-    counts_n["eigensolved"] = sum(r["eigensolved"] for r in block_results)
-    counts_n["candidates"] = len(candidates)
-    counts_n["hits"] = 0
+) -> dict:
+    """Sweep every labeled graph on n vertices (only the connected bipartite
+    ones with a pendant vertex when `pendant_bipartite`, else the connected
+    ones) and fold new isomorphism classes into `hits`; returns the counts.
 
-    candidate_set = set(candidates)
-    ambiguous_set = set(ambiguous)
-    for mask in sorted(candidate_set | ambiguous_set):
+    Candidate and borderline masks are walked in ascending order.  A mask is
+    solved with the exact route only while its class has no hit yet, or when
+    it is borderline (then at tightened precision, and logged), so each class
+    is confirmed by its least matching mask."""
+    total = 1 << (n * (n - 1) // 2)
+    tasks = [
+        (n, lo, min(lo + _BLOCK, total), pendant_bipartite, predicate, cluster_tol)
+        for lo in range(0, total, _BLOCK)
+    ]
+    results = _run_blocks(tasks, jobs)
+    candidates = {m for r in results for m in r["candidates"]}
+    ambiguous = {m for r in results for m in r["borderline"]}
+    counts = {"scanned": sum(r["scanned"] for r in results)}
+    # after the pendant pre-filter, a connected count would cover only part
+    # of the masks, so the bipartite-pendant scan does not report one
+    if not pendant_bipartite:
+        counts["connected"] = sum(r["connected"] for r in results)
+    counts["eigensolved"] = sum(r["eigensolved"] for r in results)
+    counts["candidates"] = len(candidates)
+    counts["hits"] = 0
+    for mask in sorted(candidates | ambiguous):
         g = graph_from_mask(n, mask)
-        tight = mask in ambiguous_set
-        dec = jacobi_eigen(build(g).L, tol=1e-14 if tight else 1e-12)
-        spec = cluster_spectrum(dec.values, cluster_tol)
-        ok = predicate.matches(spec)
-        if tight:
-            borderline_log.append(
-                {
-                    "n": n,
-                    "graph6": to_graph6(g),
-                    "distinct_count": spec.distinct_count,
-                    "matched": ok,
-                    "fast_route_candidate": mask in candidate_set,
-                }
-            )
-        if not ok:
-            continue
         key = (n, canonical_form(g))
-        if key not in hits:
-            counts_n["hits"] += 1
-            hits[key] = ScanHit(
-                n=n,
-                canonical=key[1],
-                graph6=to_graph6(g),
-                spectrum=spec,
-                distinct_count=spec.distinct_count,
+        if mask in ambiguous:
+            spec = _tight_spectrum(
+                g,
+                predicate,
+                cluster_tol,
+                borderline_log,
+                fast_route_candidate=mask in candidates,
             )
+        elif key in hits:
+            continue
+        else:
+            spec = cluster_spectrum(jacobi_eigen(build(g).L).values, cluster_tol)
+        if key not in hits and predicate.matches(spec):
+            hits[key] = _hit(g, key[1], spec)
+            counts["hits"] += 1
+    return counts
 
 
 def _finish_report(
     scan: str,
-    predicate: SpectrumPredicate,
+    predicate: SpectrumPredicate | None,
     n_range: tuple[int, int],
     hits: dict,
     counts: dict,
@@ -471,11 +483,14 @@ def _finish_report(
     cluster_tol: float,
 ) -> ScanReport:
     ordered = tuple(
-        sorted(hits.values(), key=lambda h: (h.n, h.canonical or 0, h.graph6))
+        sorted(
+            hits.values(),
+            key=lambda h: (h.n, h.canonical or 0, h.label or "", h.graph6),
+        )
     )
     return ScanReport(
         scan=scan,
-        predicate=predicate.describe(),
+        predicate=predicate.describe() if predicate else "all members",
         n_range=n_range,
         hits=ordered,
         counts=counts,
@@ -491,7 +506,7 @@ def _finish_report(
 def scan_connected(
     n_max: int,
     predicate: SpectrumPredicate,
-    cluster_tol: float = _VALUE_TOL,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
     jobs: int = 1,
     allow_n8: bool = False,
 ) -> ScanReport:
@@ -509,20 +524,11 @@ def scan_connected(
             + ("" if allow_n8 else " (pass allow_n8=True to raise the cap to 8)")
         )
     hits: dict = {}
-    counts: dict = {}
     borderline_log: list[dict] = []
-    for n in range(1, n_max + 1):
-        total = 1 << (n * (n - 1) // 2)
-        tasks = [
-            ("connected", n, lo, min(lo + _BLOCK, total), predicate, cluster_tol)
-            for lo in range(0, total, _BLOCK)
-        ]
-        results = _run_blocks(tasks, jobs)
-        counts_n: dict = {}
-        _confirm_and_collect(
-            "connected", n, results, predicate, cluster_tol, hits, borderline_log, counts_n
-        )
-        counts[str(n)] = counts_n
+    counts = {
+        str(n): _scan_order(n, False, predicate, cluster_tol, jobs, hits, borderline_log)
+        for n in range(1, n_max + 1)
+    }
     return _finish_report(
         "connected", predicate, (1, n_max), hits, counts, borderline_log, cluster_tol
     )
@@ -530,7 +536,7 @@ def scan_connected(
 
 def scan_bipartite_pendant(
     n: int = 8,
-    cluster_tol: float = _VALUE_TOL,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
     jobs: int = 1,
 ) -> ScanReport:
     """Scan every labeled graph on exactly n <= 8 vertices that is
@@ -539,20 +545,11 @@ def scan_bipartite_pendant(
     if not 2 <= n <= 8:
         raise ValueError("n must be in 2..8")
     predicate = SpectrumPredicate(kind="distinct", k=4)
-    total = 1 << (n * (n - 1) // 2)
-    tasks = [
-        ("bipartite-pendant", n, lo, min(lo + _BLOCK, total), predicate, cluster_tol)
-        for lo in range(0, total, _BLOCK)
-    ]
-    results = _run_blocks(tasks, jobs)
     hits: dict = {}
-    counts: dict = {}
     borderline_log: list[dict] = []
-    counts_n: dict = {}
-    _confirm_and_collect(
-        "bipartite-pendant", n, results, predicate, cluster_tol, hits, borderline_log, counts_n
-    )
-    counts[str(n)] = counts_n
+    counts = {
+        str(n): _scan_order(n, True, predicate, cluster_tol, jobs, hits, borderline_log)
+    }
     return _finish_report(
         "bipartite-pendant", predicate, (n, n), hits, counts, borderline_log, cluster_tol
     )
@@ -561,7 +558,7 @@ def scan_bipartite_pendant(
 def scan_unicyclic(
     param_max: int,
     predicate: SpectrumPredicate | None = None,
-    cluster_tol: float = _VALUE_TOL,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> ScanReport:
     """Tabulate distinct-eigenvalue counts over all unicyclic family members
     with parameters up to param_max (the bare cycles C3..C7 included).
@@ -569,73 +566,35 @@ def scan_unicyclic(
     With a predicate, hits are the members matching it; without one, every
     member becomes a hit, so the report is the full table.  Hits on at most
     8 vertices carry canonical forms; larger ones are distinguished by their
-    family label.
+    family label.  A member whose eigenvalues have a gap in the borderline
+    window is re-solved at tightened precision and logged.
     """
     if param_max < 1:
         raise ValueError("param_max must be >= 1")
     specs = all_unicyclic_specs(param_max)
-    keep_all = predicate is None
     hits: dict = {}
     borderline_log: list[dict] = []
     by_n: dict = {}
     by_distinct: dict = {}
     for spec in specs:
         g = unicyclic(spec)
-        lspec = l_spectrum(g, cluster_tol)
         label = str(spec)
-        vals = np.asarray(lspec.expand())
-        gaps = np.diff(np.sort(vals))
-        if len(gaps) and (
-            ((gaps >= _BORDERLINE_LO) & (gaps <= _BORDERLINE_HI)).any()
-        ):
-            tight = cluster_spectrum(
-                jacobi_eigen(build(g).L, tol=1e-14).values, cluster_tol
-            )
-            borderline_log.append(
-                {
-                    "n": g.n,
-                    "graph6": to_graph6(g) if g.n <= 62 else None,
-                    "distinct_count": tight.distinct_count,
-                    "matched": keep_all or predicate.matches(tight),
-                    "label": label,
-                }
-            )
-            lspec = tight
+        values = jacobi_eigen(build(g).L).values
+        if _borderline(np.sort(values), cluster_tol):
+            lspec = _tight_spectrum(g, predicate, cluster_tol, borderline_log, label=label)
+        else:
+            lspec = cluster_spectrum(values, cluster_tol)
         by_n[str(g.n)] = by_n.get(str(g.n), 0) + 1
         key_d = str(lspec.distinct_count)
         by_distinct[key_d] = by_distinct.get(key_d, 0) + 1
-        if not keep_all and not predicate.matches(lspec):
+        if predicate is not None and not predicate.matches(lspec):
             continue
-        if g.n <= 8:
-            key = (g.n, canonical_form(g))
-        else:
-            key = (g.n, label)
+        key = (g.n, canonical_form(g) if g.n <= 8 else label)
         if key not in hits:
-            hits[key] = ScanHit(
-                n=g.n,
-                canonical=key[1] if g.n <= 8 else None,
-                graph6=to_graph6(g) if g.n <= 62 else "",
-                spectrum=lspec,
-                distinct_count=lspec.distinct_count,
-                label=label,
-            )
+            hits[key] = _hit(g, key[1] if g.n <= 8 else None, lspec, label)
     counts = {"members": len(specs), "by_n": by_n, "by_distinct": by_distinct}
-    describe = predicate.describe() if predicate else "all members"
-    ordered = tuple(
-        sorted(
-            hits.values(),
-            key=lambda h: (h.n, h.canonical if h.canonical is not None else 0, h.label or ""),
-        )
+    n_lo = min(key[0] for key in hits) if hits else 3
+    n_hi = max(key[0] for key in hits) if hits else 3 + 3 * param_max
+    return _finish_report(
+        "unicyclic", predicate, (n_lo, n_hi), hits, counts, borderline_log, cluster_tol
     )
-    n_lo = min(h.n for h in ordered) if ordered else 3
-    n_hi = max(h.n for h in ordered) if ordered else 3 + 3 * param_max
-    report = ScanReport(
-        scan="unicyclic",
-        predicate=describe,
-        n_range=(n_lo, n_hi),
-        hits=ordered,
-        counts=counts,
-        borderline=tuple(borderline_log),
-        cluster_tol=cluster_tol,
-    )
-    return report

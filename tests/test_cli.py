@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -292,6 +294,17 @@ def test_verify_inapplicable_is_success(capsys):
         assert json.loads(out)["report"]["applicable"] is False, suite
 
 
+def test_verify_eq1_on_k1_is_inapplicable_strict_json(capsys):
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    code, out, err = run(capsys, "verify", "eq1", "@")
+    assert code == 0 and err == ""
+    report = json.loads(out, parse_constant=reject)["report"]
+    assert report["applicable"] is False
+    assert report["results"][0]["witness"]["reason"] == "needs at least one edge"
+
+
 def test_verify_tol_reaches_suite(capsys, monkeypatch):
     # at --tol 0.8 C5 clusters to two values, so it is no 3-value graph
     code, out, _ = run(capsys, "verify", "three-ev", "C5", "--tol", "0.8")
@@ -405,9 +418,37 @@ def test_cluster_tol_flag_and_env(capsys, monkeypatch):
     monkeypatch.setenv("SPECLAP_TOL", "1e-6")
     code, out3, _ = run(capsys, "spectrum", "C5", "--tol", "0.75")
     assert out3 == out
-    monkeypatch.setenv("SPECLAP_TOL", "-1")
-    code, _, err = run(capsys, "spectrum", "C5")
-    assert code == 2 and "SPECLAP_TOL" in err
+    # a tolerance that is not positive (NaN included) is a usage error for
+    # every command that clusters, whether or not the suite reads it
+    for argv in [
+        ("verify", "lemma22", "Kmulti:2,3"),
+        ("verify", "thm21", "Kmulti:2,3"),
+        ("spectrum", "C5"),
+        ("enumerate", "--scan", "connected", "--nmax", "3"),
+    ]:
+        for bad in ["-1", "0", "nan"]:
+            code, out, err = run(capsys, *argv, "--tol", bad)
+            assert (code, out) == (2, ""), (argv, bad)
+            assert "--tol must be positive" in err
+    for bad in ["-1", "nan"]:
+        monkeypatch.setenv("SPECLAP_TOL", bad)
+        code, _, err = run(capsys, "spectrum", "C5")
+        assert code == 2 and "SPECLAP_TOL" in err, bad
+
+
+def test_module_entry_point_runs_without_warnings():
+    import speclap
+
+    src = os.path.dirname(os.path.dirname(speclap.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "speclap.cli", "spectrum", "P4"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_unreadable_token_is_usage_error(capsys):

@@ -71,9 +71,9 @@ def test_predicate_matches_batch_agrees():
 def test_mask_round_trip():
     for g in [path(4), cycle(5), complete(4), complete_bipartite(2, 3)]:
         assert graph_from_mask(g.n, mask_from_graph(g)) == g
-    # masks enumerate pairs in a fixed order: mask 1 is the edge (0, 1)
-    g = graph_from_mask(3, 1)
-    assert list(g.edges()) == [(0, 1)]
+    # bit k is the k-th pair in upper-triangle row order
+    pairs = [tuple(graph_from_mask(4, 1 << k).edges())[0] for k in range(6)]
+    assert pairs == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 def test_canonical_form_is_isomorphism_invariant():
@@ -226,3 +226,70 @@ def test_scan_report_csv_shape():
         n, g6, k, spec = line.split(",")
         assert from_graph6(g6).n == int(n)
         assert len(spec.split(" ")) == int(k)
+
+
+def test_scan_solves_each_class_once(monkeypatch):
+    orders = []
+    real = scans.jacobi_eigen
+
+    def counting(m, *args, **kwargs):
+        orders.append(len(m))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(scans, "jacobi_eigen", counting)
+    report = scan_connected(5, parse_predicate("distinct-with-one:3"))
+    assert report.borderline == ()
+    assert sum(c["candidates"] for c in report.counts.values()) > len(report.hits)
+    assert len(orders) == len(report.hits)
+
+
+def test_borderline_window_follows_cluster_tol():
+    pred = parse_predicate("distinct:4")
+    assert scan_connected(4, pred).borderline == ()
+    # at 0.05 the window is [0.005, 0.5]: the paw's gap 0.229 and
+    # K4 minus an edge's gap 0.333 fall inside it
+    report = scan_connected(4, pred, cluster_tol=0.05)
+    logged = {canonical_form(from_graph6(b["graph6"])) for b in report.borderline}
+    assert canonical_form(unicyclic("U2", (1,))) in logged
+    assert canonical_form(complete_multipartite([1, 1, 2])) in logged
+    assert all(b["fast_route_candidate"] for b in report.borderline)
+
+
+def test_scan_unicyclic_sees_near_ties_inside_a_cluster(monkeypatch):
+    """A member whose raw eigenvalues split a repeated value by 5e-7 (inside
+    one cluster at the default tolerance) is borderline, and its tight
+    re-solve gives the hits of the unperturbed scan."""
+    clean = scan_unicyclic(2)
+    real = scans.jacobi_eigen
+
+    def split_ties(m, tol=1e-12, **kwargs):
+        dec = real(m, tol=tol, **kwargs)
+        if tol < 1e-12:
+            return dec
+        vals = dec.values.copy()  # descending
+        for i in range(1, len(vals)):
+            if dec.values[i - 1] - dec.values[i] < 1e-9:
+                vals[i] = vals[i - 1] - 5e-7
+        return type(dec)(values=vals, vectors=dec.vectors)
+
+    monkeypatch.setattr(scans, "jacobi_eigen", split_ties)
+    report = scan_unicyclic(2)
+    repeated = {h.label for h in clean.hits if max(h.spectrum.multiplicities) > 1}
+    assert "U7" in repeated  # C4: 0, 1, 1, 2
+    assert {b["label"] for b in report.borderline} == repeated
+    assert [h.label for h in report.hits] == [h.label for h in clean.hits]
+    for hit, want in zip(report.hits, clean.hits):
+        assert hit.distinct_count == want.distinct_count
+        assert np.allclose(hit.spectrum.expand(), want.spectrum.expand(), atol=1e-12)
+
+
+def test_scans_are_deterministic():
+    runs = [
+        lambda: scan_connected(5, parse_predicate("distinct:4")),
+        lambda: scan_bipartite_pendant(n=5),
+        lambda: scan_unicyclic(3, parse_predicate("distinct:4")),
+    ]
+    for run in runs:
+        first, second = run(), run()
+        assert first.to_json_dict() == second.to_json_dict()
+        assert first.to_csv() == second.to_csv()
