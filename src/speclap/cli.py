@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -60,15 +61,15 @@ def _emit(args, text: str) -> None:
 
 def _cluster_tol(args) -> float:
     """--tol, else SPECLAP_TOL, else the default; a given value must be
-    positive (NaN is rejected too)."""
+    positive and finite (NaN and infinity are rejected)."""
     if getattr(args, "tol", None) is not None:
         source, tol = "--tol", args.tol
     elif "SPECLAP_TOL" in os.environ:
         source, tol = "SPECLAP_TOL", float(os.environ["SPECLAP_TOL"])
     else:
         return DEFAULT_CLUSTER_TOL
-    if not tol > 0:
-        raise ValueError(f"{source} must be positive, got {tol!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{source} must be positive and finite, got {tol!r}")
     return tol
 
 
@@ -333,13 +334,7 @@ def cmd_enumerate(args) -> int:
     if args.scan == "connected":
         if predicate is None:
             predicate = scans.parse_predicate("distinct-with-one:3")
-        report = scans.scan_connected(
-            args.nmax,
-            predicate,
-            cluster_tol=tol,
-            jobs=args.jobs,
-            allow_n8=args.allow_n8,
-        )
+        report = scans.scan_connected(args.nmax, predicate, cluster_tol=tol)
     elif args.scan == "unicyclic":
         report = scans.scan_unicyclic(args.param_max, predicate, cluster_tol=tol)
     else:
@@ -347,7 +342,7 @@ def cmd_enumerate(args) -> int:
             raise ValueError(
                 "the bipartite-pendant scan has a fixed predicate (distinct:4)"
             )
-        report = scans.scan_bipartite_pendant(n=args.n, cluster_tol=tol, jobs=args.jobs)
+        report = scans.scan_bipartite_pendant(n=args.n, cluster_tol=tol)
     if args.format == "csv":
         _emit(args, report.to_csv())
     else:
@@ -433,9 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--n", type=int, default=8, help="order for the bipartite-pendant scan")
     p_enum.add_argument("--param-max", type=int, default=6, help="unicyclic parameter bound")
     p_enum.add_argument("--predicate", help=f"spectrum predicate: {scans.PREDICATE_GRAMMAR}")
-    p_enum.add_argument("--jobs", type=int, default=1, help="parallel workers over mask blocks")
     p_enum.add_argument(
-        "--allow-n8", action="store_true", help="let the connected scan run at n = 8"
+        "--jobs", type=int, default=1, help="ignored; scans run in one process"
     )
     p_enum.add_argument("--format", choices=("json", "csv"), default="json")
     add_common(p_enum)

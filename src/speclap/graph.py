@@ -17,11 +17,9 @@ __all__ = [
     "BipartiteSplit",
     "DuplicateClass",
     "from_edge_list",
-    "union_disjoint",
     "components",
     "is_connected",
     "bipartite_split",
-    "diameter",
     "duplicate_classes",
     "induced_subgraph",
     "is_complete_multipartite",
@@ -162,14 +160,6 @@ def from_edge_list(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def union_disjoint(a: Graph, b: Graph) -> Graph:
-    """Disjoint union; b's vertices are shifted up by a.n."""
-    if a.n + b.n > MAX_VERTICES:
-        raise ValueError("union exceeds the vertex limit")
-    rows = list(a.adj) + [row << a.n for row in b.adj]
-    return Graph(a.n + b.n, tuple(rows))
-
-
 def _bfs_mask(g: Graph, start: int) -> int:
     """Bitmask of all vertices reachable from start."""
     seen = 1 << start
@@ -232,33 +222,6 @@ def bipartite_split(g: Graph) -> BipartiteSplit | None:
                         return None
             frontier = nxt
     return BipartiteSplit(part1=part[0], part2=part[1])
-
-
-def _ecc(g: Graph, start: int) -> int:
-    seen = 1 << start
-    frontier = seen
-    dist = 0
-    while True:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= g.adj[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt & ~seen
-        if not frontier:
-            return dist
-        seen |= frontier
-        dist += 1
-
-
-def diameter(g: Graph) -> int:
-    """Longest shortest path; raises on disconnected input."""
-    if not is_connected(g):
-        raise ValueError("diameter is undefined for disconnected graphs")
-    if g.n == 0:
-        raise ValueError("diameter is undefined for the empty graph")
-    return max(_ecc(g, v) for v in range(g.n))
 
 
 def duplicate_classes(g: Graph) -> list[DuplicateClass]:

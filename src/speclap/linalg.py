@@ -171,8 +171,8 @@ class Spectrum:
     cluster_tol: float
 
     def __post_init__(self):
-        if not self.cluster_tol > 0:
-            raise ValueError("cluster_tol must be positive")
+        if not (math.isfinite(self.cluster_tol) and self.cluster_tol > 0):
+            raise ValueError("cluster_tol must be positive and finite")
         vals = [v for v, _ in self.pairs]
         mults = [m for _, m in self.pairs]
         if any(m < 1 for m in mults):
@@ -234,8 +234,8 @@ def cluster_spectrum(
     between neighbours exceeds `cluster_tol`.  Idempotent on already-clustered
     data because surviving gaps exceed the tolerance by construction.
     """
-    if not cluster_tol > 0:
-        raise ValueError("cluster_tol must be positive")
+    if not (math.isfinite(cluster_tol) and cluster_tol > 0):
+        raise ValueError("cluster_tol must be positive and finite")
     arr = np.sort(np.asarray(list(values), dtype=float))
     if arr.size == 0:
         return Spectrum(pairs=(), cluster_tol=cluster_tol)
@@ -338,10 +338,13 @@ def format_value(x: float, paper_precision: bool = False) -> str:
 
     Default is 10 significant digits; paper_precision switches to 4 decimal
     places (the precision used by the reference tables this package checks
-    itself against).
+    itself against).  A value that rounds to 0 at 10 decimal places prints
+    as 0, so rounding noise on a zero eigenvalue does not show.  (Rounding
+    every value that way before the 10-digit format would round twice and
+    could change the last digit.)
     """
-    if x == 0:
-        x = 0.0  # never print -0
+    if round(x, 10) == 0:
+        x = 0.0  # never print -0 or noise
     out = f"{x:.4f}" if paper_precision else f"{x:.10g}"
     if out.startswith("-") and float(out) == 0:
         out = out[1:]  # -1e-17 rounds to -0.0000; drop the sign

@@ -2,23 +2,23 @@
 
 Three searches back the package's classification checks with brute force:
 
-* scan_connected -- every labeled connected graph on up to 7 vertices (8
-  behind an override), filtered by a spectrum predicate;
-* scan_bipartite_pendant -- every labeled graph on a fixed n <= 8 that is
-  connected, bipartite and has a degree-1 vertex, filtered for four
-  distinct L-eigenvalues;
+* scan_connected -- every connected graph on up to 8 vertices, one per
+  isomorphism class, filtered by a spectrum predicate;
+* scan_bipartite_pendant -- every connected bipartite graph on a fixed
+  n <= 8 with a degree-1 vertex, one per class, filtered for four distinct
+  L-eigenvalues;
 * scan_unicyclic -- the parametric unicyclic families up to a parameter
   bound, tabulated by distinct-eigenvalue count.
 
-The two mask scans share one per-order driver.  The labeled-mask space is
-processed in blocks with a fully vectorized pipeline (edge-bit extraction,
-adjacency row masks, popcount degrees, even/odd reachability for
-connectedness + bipartiteness, batched dense eigensolves) and a cheap
-clustered-gap predicate.  The candidates it nominates are walked in
-ascending mask order and keyed by canonical form (minimal adjacency
-bitstring over all vertex permutations); the first one of each isomorphism
-class is *confirmed* with the package's own Jacobi eigensolver, so each
-class is solved once, not each labeled copy.
+The first two walk isomorphism classes, not labeled graphs.
+`connected_classes` builds them order by order: each class on n - 1
+vertices plus a new vertex joined to each nonempty subset of its vertices,
+deduplicated by `canonical_form` (colour refinement plus a full
+individualization search over bitmask adjacency rows, which also counts
+the automorphisms, so the labeled counts come out as sums of n!/|Aut|).
+One per-order driver then solves every class representative in one batched
+dense eigensolve, evaluates a cheap clustered-gap predicate, and *confirms*
+each nominated class with the package's own Jacobi eigensolver.
 
 Every tolerance follows the cluster tolerance `tol` (the CLI's --tol): the
 predicate compares values to within `tol`, and a graph with a neighbouring
@@ -26,21 +26,18 @@ eigenvalue gap in the window [tol/10, 10*tol], where rounding could decide
 the clustering, is re-solved at tightened precision and logged as
 borderline, whether or not the fast route matched it.  The unicyclic scan
 applies the same window to each member's raw eigenvalues.
-
-Blocks can be spread over worker processes; results are merged in block
-order, so parallel and serial runs return identical reports.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .families import all_unicyclic_specs, unicyclic
-from .graph import Graph, to_graph6
+from .graph import Graph, bipartite_split, from_edge_list, to_graph6
 from .linalg import (
     DEFAULT_CLUSTER_TOL,
     Spectrum,
@@ -57,26 +54,11 @@ __all__ = [
     "ScanHit",
     "ScanReport",
     "canonical_form",
+    "connected_classes",
     "scan_connected",
     "scan_bipartite_pendant",
     "scan_unicyclic",
 ]
-
-_BLOCK = 1 << 18
-_EIG_CHUNK = 1 << 15
-
-# number of labeled connected graphs on n vertices, for self-checks
-LABELED_CONNECTED_COUNTS = {
-    1: 1,
-    2: 1,
-    3: 4,
-    4: 38,
-    5: 728,
-    6: 26704,
-    7: 1866256,
-    8: 251548592,
-}
-
 
 # ---------------------------------------------------------------------------
 # predicates
@@ -165,55 +147,141 @@ def parse_predicate(token: str) -> SpectrumPredicate:
 
 
 # ---------------------------------------------------------------------------
-# mask <-> graph plumbing
+# canonical forms and isomorphism classes
 
 
-def graph_from_mask(n: int, mask: int) -> Graph:
-    """Decode a labeled graph from its edge bitmask: bit k is the k-th pair
-    in (0,1), (0,2), ..., (0,n-1), (1,2), ... order, i.e. upper-triangle row
-    order."""
-    adj = [0] * n
-    for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
-        if (mask >> k) & 1:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return Graph(n, tuple(adj))
+def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
+    """Colour refinement of an ordered partition (cells are vertex bitmasks).
+
+    Each round splits every cell by the number of neighbours its vertices
+    have in each cell, sub-cells ordered by those counts, until no cell
+    splits.  Splits depend on cell positions only, never on vertex labels,
+    so relabeling the graph relabels the result."""
+    while True:
+        out = []
+        for cell in cells:
+            if cell & (cell - 1) == 0:
+                out.append(cell)
+                continue
+            groups: dict[tuple[int, ...], int] = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                row = adj[low.bit_length() - 1]
+                key = tuple((row & w).bit_count() for w in cells)
+                groups[key] = groups.get(key, 0) | low
+                rest ^= low
+            out.extend(groups[k] for k in sorted(groups))
+        if len(out) == len(cells):
+            return out
+        cells = out
 
 
-def mask_from_graph(g: Graph) -> int:
-    """Inverse of graph_from_mask."""
-    mask = 0
-    for k, (i, j) in enumerate(itertools.combinations(range(g.n), 2)):
-        if g.has_edge(i, j):
-            mask |= 1 << k
-    return mask
+def _leaf_code(adj: tuple[int, ...], cells: list[int]) -> int:
+    """Upper triangle of the adjacency matrix relabeled by a discrete
+    partition (the vertex of cell i becomes vertex i), read in row order with
+    the first pair most significant."""
+    order = [cell.bit_length() - 1 for cell in cells]
+    code = 0
+    for i, v in enumerate(order):
+        row = adj[v]
+        for u in order[i + 1 :]:
+            code = code << 1 | row >> u & 1
+    return code
 
 
-_PERMS_CACHE: dict[int, np.ndarray] = {}
+def _canonical_search(adj: tuple[int, ...]) -> tuple[int, int]:
+    """Canonical code and automorphism group order of the graph with
+    adjacency rows `adj`.
+
+    Individualization-refinement without pruning: refine, individualize
+    each vertex of the first non-singleton cell in turn, refine again, and
+    so on down to discrete partitions.  The tree commutes with relabeling,
+    so the largest leaf code is an isomorphism invariant; distinct leaves
+    are distinct labelings, and the leaves reaching that code are one orbit
+    of Aut, so there are |Aut| of them.  At most n! leaves."""
+    n = len(adj)
+    best, count = -1, 0
+    stack = [_refine(adj, [(1 << n) - 1])]
+    while stack:
+        cells = stack.pop()
+        if len(cells) == n:
+            code = _leaf_code(adj, cells)
+            if code > best:
+                best, count = code, 1
+            elif code == best:
+                count += 1
+            continue
+        t = next(i for i, cell in enumerate(cells) if cell & (cell - 1))
+        rest = cells[t]
+        while rest:
+            low = rest & -rest
+            child = cells[:t] + [low, cells[t] ^ low] + cells[t + 1 :]
+            stack.append(child if len(child) == n else _refine(adj, child))
+            rest ^= low
+    return best, count
 
 
 def canonical_form(g: Graph) -> int:
-    """Minimal adjacency bitstring over all vertex permutations.
+    """Canonical code of g: equal values mean isomorphic graphs.
 
-    The bitstring reads upper-triangle pairs in row order with the first
-    pair most significant, packed into an int; equal values mean isomorphic
-    graphs.  Guarded to n <= 8 where the n! sweep is affordable.
+    The code is the adjacency bitstring of a canonical relabeling: the
+    upper-triangle pairs (0,1), (0,2), ..., (1,2), ... with the first pair
+    most significant (`_graph_of_code` decodes it).  Guarded to n <= 8,
+    which bounds the search at 8! leaves.
     """
-    n = g.n
-    if n > 8:
+    if g.n > 8:
         raise ValueError("canonical_form is limited to n <= 8")
-    if n <= 1:
-        return 0
-    perms = _PERMS_CACHE.get(n)
-    if perms is None:
-        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-        _PERMS_CACHE[n] = perms
-    A = g.adjacency_matrix().astype(np.int64)
-    relabeled = A[perms[:, :, None], perms[:, None, :]]
-    iu, ju = np.triu_indices(n, 1)
-    bits = relabeled[:, iu, ju]
-    weights = 1 << (np.arange(len(iu), dtype=np.int64)[::-1])
-    return int((bits * weights).sum(axis=1).min())
+    return _canonical_search(g.adj)[0] if g.n else 0
+
+
+def _graph_of_code(n: int, code: int) -> Graph:
+    """The graph on n vertices whose canonical code is `code`, in its
+    canonical labeling."""
+    pairs = list(itertools.combinations(range(n), 2))
+    return from_edge_list(
+        n, [pair for k, pair in enumerate(pairs) if code >> (len(pairs) - 1 - k) & 1]
+    )
+
+
+def connected_classes(n_max: int, bipartite: bool = False) -> dict[int, dict[int, int]]:
+    """{n: {canonical code: |Aut|}} over the isomorphism classes of
+    connected graphs (connected bipartite graphs if `bipartite`) on
+    n = 1..n_max <= 8 vertices.
+
+    Level n is each level n-1 class plus a new vertex joined to a nonempty
+    subset of its vertices, deduplicated by canonical code.  That reaches
+    every class, because every connected graph has a vertex whose deletion
+    leaves it connected (a leaf of a spanning tree).  With `bipartite`, a
+    subset meeting both sides would close an odd cycle and is skipped; the
+    same vertex deletion leaves a connected bipartite graph, so no class is
+    lost.  This is McKay's vertex augmentation ("Isomorph-free exhaustive
+    generation", J. Algorithms 26, 1998) with dedup by canonical code in
+    place of the canonical-deletion test.
+    """
+    if not 1 <= n_max <= 8:
+        raise ValueError("n_max must be in 1..8")
+    levels = {1: {0: 1}}  # K1
+    for n in range(2, n_max + 1):
+        levels[n] = _extend(n - 1, levels[n - 1], bipartite)
+    return levels
+
+
+def _extend(m: int, level: dict, bipartite: bool) -> dict:
+    new_bit = 1 << m
+    out: dict[int, int] = {}
+    for code in level:
+        g = _graph_of_code(m, code)
+        side = bipartite_split(g).part1 if bipartite else 0
+        for subset in range(1, new_bit):
+            if bipartite and subset & side and subset & ~side:
+                continue
+            adj = tuple(
+                row | new_bit if subset >> v & 1 else row for v, row in enumerate(g.adj)
+            ) + (subset,)
+            canonical, aut = _canonical_search(adj)
+            out.setdefault(canonical, aut)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -289,45 +357,14 @@ class ScanReport:
 
 
 # ---------------------------------------------------------------------------
-# the vectorized block pipeline
+# nomination by batched eigensolve
 
 
-def _block_rows_degrees(masks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Adjacency row masks (B, n) and degrees (B, n) for a mask block."""
-    P = n * (n - 1) // 2
-    I, J = np.triu_indices(n, 1)  # the pairs in mask-bit order
-    bits = ((masks[:, None] >> np.arange(P, dtype=np.int64)[None, :]) & 1).astype(
-        np.int32
-    )
-    rows = np.zeros((len(masks), n), dtype=np.int32)
-    for k in range(P):
-        rows[:, I[k]] |= bits[:, k] << J[k]
-        rows[:, J[k]] |= bits[:, k] << I[k]
-    return rows, np.bitwise_count(rows)
-
-
-def _reach_even_odd(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex masks reachable from vertex 0 by even / odd length walks."""
-    even = np.full(len(rows), 1, dtype=np.int32)
-    odd = np.zeros(len(rows), dtype=np.int32)
-    for _ in range(n):
-        grow_odd = np.zeros_like(odd)
-        grow_even = np.zeros_like(even)
-        for v in range(n):
-            in_even = ((even >> v) & 1).astype(bool)
-            in_odd = ((odd >> v) & 1).astype(bool)
-            grow_odd |= np.where(in_even, rows[:, v], 0)
-            grow_even |= np.where(in_odd, rows[:, v], 0)
-        odd |= grow_odd
-        even |= grow_even
-    return even, odd
-
-
-def _batched_l_values(rows: np.ndarray, degs: np.ndarray, n: int) -> np.ndarray:
-    """Ascending L-eigenvalues for each graph of a block, given its adjacency
-    row masks and degrees."""
+def _batched_l_values(graphs: list[Graph], n: int) -> np.ndarray:
+    """Ascending L-eigenvalues, one row per graph on n vertices."""
+    rows = np.array([g.adj for g in graphs], dtype=np.int64)
     A = ((rows[:, :, None] >> np.arange(n)[None, None, :]) & 1).astype(float)
-    d = degs.astype(float)
+    d = A.sum(axis=2)
     s = np.where(d > 0, 1.0 / np.sqrt(np.maximum(d, 1.0)), 0.0)
     L = -(A * s[:, :, None] * s[:, None, :])
     diag = np.arange(n)
@@ -341,43 +378,6 @@ def _borderline(vals: np.ndarray, cluster_tol: float) -> np.ndarray:
     could decide whether the two values cluster."""
     gaps = np.diff(vals, axis=-1)
     return ((gaps >= cluster_tol / 10) & (gaps <= cluster_tol * 10)).any(axis=-1)
-
-
-def _scan_block(task: tuple) -> dict:
-    """Process one mask block; returns candidate / borderline masks and
-    counters.  Pure function of its arguments (safe as a worker)."""
-    n, start, stop, pendant_bipartite, predicate, cluster_tol = task
-    masks = np.arange(start, stop, dtype=np.int64)
-    rows, degs = _block_rows_degrees(masks, n)
-    if pendant_bipartite:
-        idx = np.nonzero((degs == 1).any(axis=1))[0]
-    else:
-        idx = np.arange(len(masks))
-    even, odd = _reach_even_odd(rows[idx], n)
-    connected = (even | odd) == (1 << n) - 1
-    surv = idx[connected & ((even & odd) == 0)] if pendant_bipartite else idx[connected]
-    candidates: list[int] = []
-    borderline: list[int] = []
-    for lo in range(0, len(surv), _EIG_CHUNK):
-        chunk = surv[lo : lo + _EIG_CHUNK]
-        vals = _batched_l_values(rows[chunk], degs[chunk], n)
-        matched = predicate.matches_batch(vals, cluster_tol)
-        candidates.extend(masks[chunk[matched]].tolist())
-        borderline.extend(masks[chunk[_borderline(vals, cluster_tol)]].tolist())
-    return {
-        "scanned": len(masks),
-        "connected": int(connected.sum()),
-        "eigensolved": len(surv),
-        "candidates": candidates,
-        "borderline": borderline,
-    }
-
-
-def _run_blocks(tasks: list[tuple], jobs: int) -> list[dict]:
-    if jobs <= 1:
-        return [_scan_block(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_scan_block, tasks, chunksize=1))
 
 
 # ---------------------------------------------------------------------------
@@ -421,56 +421,40 @@ def _hit(
 
 def _scan_order(
     n: int,
-    pendant_bipartite: bool,
+    codes: list[int],
     predicate: SpectrumPredicate,
     cluster_tol: float,
-    jobs: int,
     hits: dict,
     borderline_log: list[dict],
 ) -> dict:
-    """Sweep every labeled graph on n vertices (only the connected bipartite
-    ones with a pendant vertex when `pendant_bipartite`, else the connected
-    ones) and fold new isomorphism classes into `hits`; returns the counts.
+    """Test the classes with canonical codes `codes` on n vertices against
+    the predicate with one batched eigensolve and fold the matching ones into
+    `hits`; returns the counts.
 
-    Candidate and borderline masks are walked in ascending order.  A mask is
-    solved with the exact route only while its class has no hit yet, or when
-    it is borderline (then at tightened precision, and logged), so each class
-    is confirmed by its least matching mask."""
-    total = 1 << (n * (n - 1) // 2)
-    tasks = [
-        (n, lo, min(lo + _BLOCK, total), pendant_bipartite, predicate, cluster_tol)
-        for lo in range(0, total, _BLOCK)
-    ]
-    results = _run_blocks(tasks, jobs)
-    candidates = {m for r in results for m in r["candidates"]}
-    ambiguous = {m for r in results for m in r["borderline"]}
-    counts = {"scanned": sum(r["scanned"] for r in results)}
-    # after the pendant pre-filter, a connected count would cover only part
-    # of the masks, so the bipartite-pendant scan does not report one
-    if not pendant_bipartite:
-        counts["connected"] = sum(r["connected"] for r in results)
-    counts["eigensolved"] = sum(r["eigensolved"] for r in results)
-    counts["candidates"] = len(candidates)
-    counts["hits"] = 0
-    for mask in sorted(candidates | ambiguous):
-        g = graph_from_mask(n, mask)
-        key = (n, canonical_form(g))
-        if mask in ambiguous:
+    A nominated class is confirmed with the exact route; a class with a
+    borderline gap is solved at tightened precision instead, and logged,
+    whether or not it was nominated."""
+    graphs = [_graph_of_code(n, code) for code in codes]
+    vals = _batched_l_values(graphs, n)
+    nominated = predicate.matches_batch(vals, cluster_tol)
+    ambiguous = _borderline(vals, cluster_tol)
+    found = 0
+    for i in np.flatnonzero(nominated | ambiguous):
+        g = graphs[i]
+        if ambiguous[i]:
             spec = _tight_spectrum(
                 g,
                 predicate,
                 cluster_tol,
                 borderline_log,
-                fast_route_candidate=mask in candidates,
+                fast_route_candidate=bool(nominated[i]),
             )
-        elif key in hits:
-            continue
         else:
             spec = cluster_spectrum(jacobi_eigen(build(g).L).values, cluster_tol)
-        if key not in hits and predicate.matches(spec):
-            hits[key] = _hit(g, key[1], spec)
-            counts["hits"] += 1
-    return counts
+        if predicate.matches(spec):
+            hits[(n, codes[i])] = _hit(g, codes[i], spec)
+            found += 1
+    return {"eigensolved": len(codes), "candidates": int(nominated.sum()), "hits": found}
 
 
 def _finish_report(
@@ -507,27 +491,22 @@ def scan_connected(
     n_max: int,
     predicate: SpectrumPredicate,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    jobs: int = 1,
-    allow_n8: bool = False,
 ) -> ScanReport:
-    """Test every labeled connected graph on 1..n_max vertices against the
-    predicate; hits are isomorphism classes.
+    """Test every connected graph on 1..n_max <= 8 vertices, one per
+    isomorphism class, against the predicate.
 
-    n_max is capped at 7 (about 2·10^6 labeled graphs) unless `allow_n8`
-    raises the cap to 8, which scans 2^28 masks and takes on the order of an
-    hour single-threaded.
+    Each order's counts give the classes scanned and, as `connected`, the
+    labeled connected graphs they stand for (the sum of n!/|Aut|).
     """
-    cap = 8 if allow_n8 else 7
-    if not 1 <= n_max <= cap:
-        raise ValueError(
-            f"n_max must be in 1..{cap}"
-            + ("" if allow_n8 else " (pass allow_n8=True to raise the cap to 8)")
-        )
     hits: dict = {}
     borderline_log: list[dict] = []
     counts = {
-        str(n): _scan_order(n, False, predicate, cluster_tol, jobs, hits, borderline_log)
-        for n in range(1, n_max + 1)
+        str(n): {
+            "scanned": len(level),
+            "connected": sum(math.factorial(n) // aut for aut in level.values()),
+            **_scan_order(n, list(level), predicate, cluster_tol, hits, borderline_log),
+        }
+        for n, level in connected_classes(n_max).items()
     }
     return _finish_report(
         "connected", predicate, (1, n_max), hits, counts, borderline_log, cluster_tol
@@ -537,18 +516,26 @@ def scan_connected(
 def scan_bipartite_pendant(
     n: int = 8,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    jobs: int = 1,
 ) -> ScanReport:
-    """Scan every labeled graph on exactly n <= 8 vertices that is
-    connected, bipartite and has a vertex of degree 1, keeping those with
-    four distinct L-eigenvalues."""
+    """Test every connected bipartite graph on exactly n <= 8 vertices that
+    has a vertex of degree 1, one per isomorphism class, for four distinct
+    L-eigenvalues."""
     if not 2 <= n <= 8:
         raise ValueError("n must be in 2..8")
     predicate = SpectrumPredicate(kind="distinct", k=4)
+    level = connected_classes(n, bipartite=True)[n]
+    pendant = [
+        code
+        for code in level
+        if any(row.bit_count() == 1 for row in _graph_of_code(n, code).adj)
+    ]
     hits: dict = {}
     borderline_log: list[dict] = []
     counts = {
-        str(n): _scan_order(n, True, predicate, cluster_tol, jobs, hits, borderline_log)
+        str(n): {
+            "scanned": len(level),
+            **_scan_order(n, pendant, predicate, cluster_tol, hits, borderline_log),
+        }
     }
     return _finish_report(
         "bipartite-pendant", predicate, (n, n), hits, counts, borderline_log, cluster_tol

@@ -9,7 +9,6 @@ import sys
 import numpy as np
 import pytest
 
-import speclap.scans as scans
 from speclap import nlspec
 from speclap.cli import build_parser, main
 from speclap.families import parse_family
@@ -37,6 +36,9 @@ def test_spectrum_family_token(capsys):
     assert out.strip() == "1.333333333^3, " + format_value(
         l_spectrum(parse_family("K4")).values[-1]
     )
+    # rounding noise on the zero eigenvalue prints as 0
+    code, out, _ = run(capsys, "spectrum", "P4")
+    assert (code, out) == (0, "2, 1.5, 0.5, 0\n")
 
 
 def test_spectrum_paper_precision(capsys):
@@ -356,6 +358,12 @@ def test_enumerate_connected_json(capsys):
     assert data["scan"] == "connected"
     assert data["counts"]["4"]["connected"] == 38
     assert len(data["hits"]) == 3  # P3; K_{1,3} and C4
+    code, out, _ = run(
+        capsys, "enumerate", "--scan", "connected", "--nmax", "4", "--format", "csv"
+    )
+    rows = out.strip().split("\n")[1:]
+    c4 = [r for r in rows if list(from_graph6(r.split(",")[1]).degrees()) == [2] * 4]
+    assert len(c4) == 1 and c4[0].endswith(",2:1 1:2 0:1")
 
 
 def test_enumerate_unicyclic_csv(capsys):
@@ -377,8 +385,8 @@ def test_enumerate_unicyclic_csv(capsys):
     assert len(lines) == 3  # C4 and C5
 
 
-def test_enumerate_jobs_deterministic(capsys, monkeypatch):
-    monkeypatch.setattr(scans, "_BLOCK", 1 << 6)
+def test_enumerate_jobs_deterministic(capsys):
+    # --jobs is accepted and ignored
     code, serial, _ = run(capsys, "enumerate", "--scan", "connected", "--nmax", "5")
     code, parallel, _ = run(
         capsys, "enumerate", "--scan", "connected", "--nmax", "5", "--jobs", "2"
@@ -418,7 +426,7 @@ def test_cluster_tol_flag_and_env(capsys, monkeypatch):
     monkeypatch.setenv("SPECLAP_TOL", "1e-6")
     code, out3, _ = run(capsys, "spectrum", "C5", "--tol", "0.75")
     assert out3 == out
-    # a tolerance that is not positive (NaN included) is a usage error for
+    # a tolerance that is not positive and finite is a usage error for
     # every command that clusters, whether or not the suite reads it
     for argv in [
         ("verify", "lemma22", "Kmulti:2,3"),
@@ -426,11 +434,11 @@ def test_cluster_tol_flag_and_env(capsys, monkeypatch):
         ("spectrum", "C5"),
         ("enumerate", "--scan", "connected", "--nmax", "3"),
     ]:
-        for bad in ["-1", "0", "nan"]:
+        for bad in ["-1", "0", "nan", "inf"]:
             code, out, err = run(capsys, *argv, "--tol", bad)
             assert (code, out) == (2, ""), (argv, bad)
             assert "--tol must be positive" in err
-    for bad in ["-1", "nan"]:
+    for bad in ["-1", "nan", "inf"]:
         monkeypatch.setenv("SPECLAP_TOL", bad)
         code, _, err = run(capsys, "spectrum", "C5")
         assert code == 2 and "SPECLAP_TOL" in err, bad

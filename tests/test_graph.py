@@ -13,7 +13,6 @@ from speclap.graph import (
     bipartite_split,
     complement_graph,
     components,
-    diameter,
     duplicate_classes,
     from_edge_list,
     from_graph6,
@@ -23,7 +22,6 @@ from speclap.graph import (
     is_connected,
     to_graph6,
     to_json_dict,
-    union_disjoint,
 )
 from speclap.families import complete, complete_bipartite, complete_multipartite, cycle, path
 
@@ -64,7 +62,7 @@ def test_basic_queries():
 
 
 def test_components_and_connectivity():
-    g = union_disjoint(cycle(3), path(2))
+    g = from_edge_list(5, [(0, 1), (1, 2), (0, 2), (3, 4)])  # C3 + P2
     assert components(g) == [[0, 1, 2], [3, 4]]
     assert not is_connected(g)
     assert is_connected(cycle(5))
@@ -99,14 +97,6 @@ def test_bipartite_matches_networkx():
         n = int(rng.integers(2, 9))
         g = random_graph(n, float(rng.uniform(0.1, 0.6)), rng)
         assert (bipartite_split(g) is not None) == nx.is_bipartite(to_nx(g))
-
-
-def test_diameter():
-    assert diameter(path(5)) == 4
-    assert diameter(complete(6)) == 1
-    assert diameter(cycle(8)) == 4
-    with pytest.raises(ValueError):
-        diameter(union_disjoint(path(2), path(2)))
 
 
 def test_duplicate_classes_star():

@@ -13,7 +13,7 @@ from speclap.families import (
     path,
     unicyclic,
 )
-from speclap.graph import Graph, duplicate_classes, from_edge_list, union_disjoint
+from speclap.graph import Graph, duplicate_classes, from_edge_list
 from speclap.linalg import cluster_spectrum
 from speclap.nlspec import (
     SUITES,
@@ -102,8 +102,8 @@ CATALOG = [
     complete_bipartite(2, 5),
     complete_multipartite([2, 2, 3]),
     petersen(),
-    union_disjoint(cycle(4), path(3)),
-    union_disjoint(complete(3), from_edge_list(2, [])),  # isolated vertices
+    from_edge_list(7, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6)]),  # C4 + P3
+    from_edge_list(5, [(0, 1), (0, 2), (1, 2)]),  # K3 + isolated vertices
     unicyclic("U6", (1, 2)),
 ]
 
@@ -127,11 +127,13 @@ def test_bipartite_symmetry_cases():
     res = rep.result("bipartite-symmetry")
     assert res.passed and res.witness["bipartite"] and res.witness["symmetric"]
     # set-symmetric but not multiset-symmetric disconnected trap
-    trap = union_disjoint(union_disjoint(complete(3), cycle(4)), path(4))
+    trap = from_edge_list(  # K3 + C4 + P4
+        11, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (5, 6), (3, 6), (7, 8), (8, 9), (9, 10)]
+    )
     res = check_spectrum_fundamentals(trap).result("bipartite-symmetry")
     assert res.passed and not res.witness["bipartite"] and not res.witness["symmetric"]
     # bipartite with an isolated vertex: 0 has no mirrored 2
-    lonely = union_disjoint(cycle(4), from_edge_list(1, []))
+    lonely = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (0, 3)])  # C4 + K1
     res = check_spectrum_fundamentals(lonely).result("bipartite-symmetry")
     assert res.passed and not res.witness["symmetric"]
 
@@ -155,7 +157,9 @@ def test_eigenvalue_product_identity():
 
 def test_eigenvalue_product_rejects_disconnected():
     with pytest.raises(ValueError):
-        check_eigenvalue_product(union_disjoint(cycle(3), cycle(3)))
+        check_eigenvalue_product(
+            from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])  # C3 + C3
+        )
 
 
 def test_eigenvalue_product_detects_wrong_values():
@@ -353,7 +357,9 @@ def test_classify_requirements():
     with pytest.raises(ValueError):
         classify_three_with_one(from_edge_list(2, [(0, 1)]))
     with pytest.raises(ValueError):
-        classify_three_with_one(union_disjoint(cycle(3), cycle(3)))
+        classify_three_with_one(
+            from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])  # C3 + C3
+        )
 
 
 @pytest.mark.parametrize(
@@ -407,7 +413,7 @@ def test_second_least_complete_precondition():
 
 def test_second_least_rejects_disconnected():
     with pytest.raises(ValueError):
-        check_second_least_one(union_disjoint(path(2), path(2)))
+        check_second_least_one(from_edge_list(4, [(0, 1), (2, 3)]))
 
 
 # -- bipartite parity (cor21) --------------------------------------------
@@ -426,7 +432,7 @@ def test_bipartite_parity_preconditions():
 
 
 def test_bipartite_parity_disconnected():
-    g = union_disjoint(complete_bipartite(1, 2), complete_bipartite(1, 3))
+    g = from_edge_list(7, [(0, 1), (0, 2), (3, 4), (3, 5), (3, 6)])  # K_{1,2} + K_{1,3}
     report = check_bipartite_duplicate_parity(g)
     assert report.applicable and report.passed
 

@@ -1,7 +1,10 @@
-"""Exhaustive scans: predicates, canonical forms, survivor sets, parallelism."""
+"""Exhaustive scans: predicates, canonical forms, class generation, survivor sets."""
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import speclap.scans as scans
 from speclap.families import (
@@ -13,22 +16,27 @@ from speclap.families import (
     pendant_join_family,
     unicyclic,
 )
-from speclap.graph import from_graph6, to_graph6
+from speclap.graph import from_edge_list, from_graph6, to_graph6
 from speclap.linalg import cluster_spectrum
 from speclap.nlspec import l_spectrum
 from speclap.scans import (
-    LABELED_CONNECTED_COUNTS,
     ScanHit,
     ScanReport,
     SpectrumPredicate,
     canonical_form,
-    graph_from_mask,
-    mask_from_graph,
+    connected_classes,
     parse_predicate,
     scan_bipartite_pendant,
     scan_connected,
     scan_unicyclic,
 )
+
+# published counts, indexed by n: OEIS A001187 (labeled connected graphs),
+# A001349 (connected graphs up to isomorphism), A005142 (connected
+# bipartite graphs up to isomorphism)
+A001187 = [None, 1, 1, 4, 38, 728, 26704, 1866256, 251548592]
+A001349 = [None, 1, 1, 2, 6, 21, 112, 853, 11117]
+A005142 = [None, 1, 1, 1, 3, 5, 17, 44, 182]
 
 
 def test_parse_predicate_forms():
@@ -68,14 +76,6 @@ def test_predicate_matches_batch_agrees():
             assert p.matches_batch(batch, 1e-6)[0] == p.matches(spec), (p, vals)
 
 
-def test_mask_round_trip():
-    for g in [path(4), cycle(5), complete(4), complete_bipartite(2, 3)]:
-        assert graph_from_mask(g.n, mask_from_graph(g)) == g
-    # bit k is the k-th pair in upper-triangle row order
-    pairs = [tuple(graph_from_mask(4, 1 << k).edges())[0] for k in range(6)]
-    assert pairs == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-
-
 def test_canonical_form_is_isomorphism_invariant():
     rng = np.random.default_rng(19)
     g = unicyclic("U6", (1, 1))
@@ -83,11 +83,20 @@ def test_canonical_form_is_isomorphism_invariant():
     for _ in range(10):
         perm = rng.permutation(g.n)
         edges = [(int(perm[u]), int(perm[v])) for u, v in g.edges()]
-        from speclap.graph import from_edge_list
-
         assert canonical_form(from_edge_list(g.n, edges)) == base
     # distinguishes non-isomorphic graphs with equal degree sums
     assert canonical_form(path(4)) != canonical_form(complete_bipartite(1, 3))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_canonical_form_invariant_under_relabeling(data):
+    n = data.draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e in pairs if data.draw(st.booleans())]
+    perm = data.draw(st.permutations(range(n)))
+    moved = [(perm[u], perm[v]) for u, v in edges]
+    assert canonical_form(from_edge_list(n, moved)) == canonical_form(from_edge_list(n, edges))
 
 
 def test_canonical_form_order_limit():
@@ -95,11 +104,39 @@ def test_canonical_form_order_limit():
         canonical_form(complete(9))
 
 
+def _nx_to_graph(h):
+    index = {v: i for i, v in enumerate(h)}
+    return from_edge_list(len(index), [(index[u], index[v]) for u, v in h.edges()])
+
+
+def test_class_generator_matches_graph_atlas():
+    """The connected graphs of networkx's atlas (every graph on <= 7
+    vertices) give the generated classes, and for n <= 6 the automorphism
+    counts agree with networkx's matcher."""
+    classes = connected_classes(7)
+    atlas: dict = {n: {} for n in classes}
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if n and nx.is_connected(h):
+            atlas[n][canonical_form(_nx_to_graph(h))] = h
+    for n, level in classes.items():
+        assert set(atlas[n]) == set(level), n
+        if n <= 6:
+            for code, h in atlas[n].items():
+                matcher = nx.algorithms.isomorphism.GraphMatcher(h, h)
+                assert level[code] == sum(1 for _ in matcher.isomorphisms_iter())
+
+
+def test_bipartite_class_counts_match_oeis():
+    classes = connected_classes(8, bipartite=True)
+    assert [len(classes[n]) for n in range(1, 9)] == A005142[1:]
+
+
 def test_scan_connected_counts_match_oracle():
-    report = scan_connected(6, parse_predicate("distinct-with-one:3"))
-    for n in range(1, 7):
-        assert report.counts[str(n)]["connected"] == LABELED_CONNECTED_COUNTS[n]
-        assert report.counts[str(n)]["scanned"] == 2 ** (n * (n - 1) // 2)
+    report = scan_connected(8, parse_predicate("distinct-with-one:3"))
+    for n in range(1, 9):
+        assert report.counts[str(n)]["connected"] == A001187[n]
+        assert report.counts[str(n)]["scanned"] == A001349[n]
 
 
 def test_scan_connected_hits_are_the_expected_families():
@@ -127,20 +164,10 @@ def test_scan_hits_survive_graph6_round_trip():
         )
 
 
-def test_scan_connected_parallel_equals_serial(monkeypatch):
-    monkeypatch.setattr(scans, "_BLOCK", 1 << 6)
-    pred = parse_predicate("distinct:4")
-    serial = scan_connected(5, pred, jobs=1)
-    parallel = scan_connected(5, pred, jobs=2)
-    assert serial.to_json_dict() == parallel.to_json_dict()
-    assert serial.to_csv() == parallel.to_csv()
-
-
-def test_scan_connected_rejects_unguarded_n8():
-    with pytest.raises(ValueError):
-        scan_connected(8, parse_predicate("distinct:3"))
-    with pytest.raises(ValueError):
-        scan_connected(9, parse_predicate("distinct:3"), allow_n8=True)
+def test_scan_connected_caps_order_at_8():
+    for n_max in (0, 9):
+        with pytest.raises(ValueError):
+            scan_connected(n_max, parse_predicate("distinct:3"))
 
 
 def test_second_least_one_scan_matches_multipartite_catalog():
@@ -239,7 +266,7 @@ def test_scan_solves_each_class_once(monkeypatch):
     monkeypatch.setattr(scans, "jacobi_eigen", counting)
     report = scan_connected(5, parse_predicate("distinct-with-one:3"))
     assert report.borderline == ()
-    assert sum(c["candidates"] for c in report.counts.values()) > len(report.hits)
+    assert len(orders) == sum(c["candidates"] for c in report.counts.values())
     assert len(orders) == len(report.hits)
 
 
@@ -248,10 +275,13 @@ def test_borderline_window_follows_cluster_tol():
     assert scan_connected(4, pred).borderline == ()
     # at 0.05 the window is [0.005, 0.5]: the paw's gap 0.229 and
     # K4 minus an edge's gap 0.333 fall inside it
+    # and P4's gap 0.5 at its edge; each class is logged once
     report = scan_connected(4, pred, cluster_tol=0.05)
-    logged = {canonical_form(from_graph6(b["graph6"])) for b in report.borderline}
-    assert canonical_form(unicyclic("U2", (1,))) in logged
-    assert canonical_form(complete_multipartite([1, 1, 2])) in logged
+    logged = [canonical_form(from_graph6(b["graph6"])) for b in report.borderline]
+    assert sorted(logged) == sorted(
+        canonical_form(g)
+        for g in (path(4), unicyclic("U2", (1,)), complete_multipartite([1, 1, 2]))
+    )
     assert all(b["fast_route_candidate"] for b in report.borderline)
 
 
