@@ -426,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_enum.add_argument("--nmax", type=int, default=7, help="largest order for the connected scan")
     p_enum.add_argument("--n", type=int, default=8, help="order for the bipartite-pendant scan")
-    p_enum.add_argument("--param-max", type=int, default=6, help="unicyclic parameter bound")
+    p_enum.add_argument("--param-max", type=int, default=6, help="unicyclic parameter bound, 1..20")
     p_enum.add_argument("--predicate", help=f"spectrum predicate: {scans.PREDICATE_GRAMMAR}")
     p_enum.add_argument(
         "--jobs", type=int, default=1, help="ignored; scans run in one process"

@@ -29,7 +29,6 @@ __all__ = [
     "sylvester",
     "hadamard_of_order",
     "HadamardMatrix",
-    "normalize",
     "hadamard_to_design",
     "Design",
     "complement",
@@ -274,10 +273,6 @@ class HadamardMatrix:
             raise ValueError("Hadamard text rows must contain only '+' and '-'")
         a = np.array([[1 if ch == "+" else -1 for ch in r] for r in rows], dtype=np.int64)
         return cls(a)
-
-
-def normalize(h: HadamardMatrix) -> HadamardMatrix:
-    return h.normalized()
 
 
 def paley1(f: FiniteField) -> HadamardMatrix:

@@ -82,15 +82,14 @@ class EigenDecomposition:
 def jacobi_eigen(
     m: "np.ndarray | Sequence",
     tol: float = DEFAULT_JACOBI_TOL,
-    max_sweeps: int = _MAX_SWEEPS,
 ) -> EigenDecomposition:
     """Diagonalize a symmetric matrix by cyclic Jacobi rotations.
 
     Parameters
     ----------
     m : square symmetric array
-    tol : stop once every off-diagonal entry is <= tol in absolute value
-    max_sweeps : sweep budget; exceeding it raises JacobiConvergenceError
+    tol : stop once every off-diagonal entry is <= tol in absolute value;
+        more than _MAX_SWEEPS sweeps raise JacobiConvergenceError
 
     Returns eigenvalues sorted descending together with the accumulated
     rotation matrix, whose columns are the corresponding eigenvectors.
@@ -111,7 +110,7 @@ def jacobi_eigen(
         off = _max_offdiag(a)
         if off <= tol:
             break
-        if sweeps >= max_sweeps:
+        if sweeps >= _MAX_SWEEPS:
             raise JacobiConvergenceError(n, sweeps, off)
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -286,13 +285,12 @@ def spectra_match(
     computed: Spectrum,
     predicted: "PredictedSpectrum | Spectrum",
     value_tol: float,
-    exact_multiplicities: bool = True,
 ) -> tuple[bool, float]:
     """Compare a computed spectrum against a prediction.
 
-    Returns (ok, max_value_deviation).  Multiplicities must agree pairwise
-    when `exact_multiplicities` is set; value deviation is the max absolute
-    difference over paired clusters (inf when the shapes disagree).
+    Returns (ok, max_value_deviation).  Multiplicities must agree pairwise;
+    value deviation is the max absolute difference over paired clusters (inf
+    when the shapes disagree).
     """
     if computed.order != predicted.order:
         return False, math.inf
@@ -304,7 +302,7 @@ def spectra_match(
     ok = True
     for (cv, cm), (pv, pm) in zip(computed.pairs, predicted.pairs):
         dev = max(dev, abs(cv - pv))
-        if exact_multiplicities and cm != pm:
+        if cm != pm:
             ok = False
     return (ok and dev <= value_tol), dev
 

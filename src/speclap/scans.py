@@ -16,22 +16,23 @@ vertices plus a new vertex joined to each nonempty subset of its vertices,
 deduplicated by `canonical_form` (colour refinement plus a full
 individualization search over bitmask adjacency rows, which also counts
 the automorphisms, so the labeled counts come out as sums of n!/|Aut|).
-One per-order driver then solves every class representative in one batched
-dense eigensolve, evaluates a cheap clustered-gap predicate, and *confirms*
-each nominated class with the package's own Jacobi eigensolver.
+The unicyclic family members are pairwise non-isomorphic already.  One
+driver takes all three: it solves each order's graphs in one batched dense
+eigensolve, evaluates a cheap clustered-gap predicate, and *confirms* each
+nominated graph with the package's own Jacobi eigensolver.
 
 Every tolerance follows the cluster tolerance `tol` (the CLI's --tol): the
 predicate compares values to within `tol`, and a graph with a neighbouring
 eigenvalue gap in the window [tol/10, 10*tol], where rounding could decide
 the clustering, is re-solved at tightened precision and logged as
-borderline, whether or not the fast route matched it.  The unicyclic scan
-applies the same window to each member's raw eigenvalues.
+borderline, whether or not the fast route matched it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -372,14 +373,6 @@ def _batched_l_values(graphs: list[Graph], n: int) -> np.ndarray:
     return np.linalg.eigvalsh(L)
 
 
-def _borderline(vals: np.ndarray, cluster_tol: float) -> np.ndarray:
-    """Whether ascending eigenvalues (one row per graph) have a neighbouring
-    gap in the window [cluster_tol / 10, 10 * cluster_tol], where rounding
-    could decide whether the two values cluster."""
-    gaps = np.diff(vals, axis=-1)
-    return ((gaps >= cluster_tol / 10) & (gaps <= cluster_tol * 10)).any(axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # confirmation with the exact route
 
@@ -420,6 +413,45 @@ def _hit(
 
 
 def _scan_order(
+    graphs: list[Graph],
+    predicate: SpectrumPredicate | None,
+    cluster_tol: float,
+    borderline_log: list[dict],
+    labels: list[str] | None = None,
+) -> tuple[list[tuple[int, Spectrum]], np.ndarray, np.ndarray]:
+    """Test `graphs` (any mix of orders) against the predicate with one
+    batched eigensolve per order; returns the matches as (index, spectrum)
+    pairs in input order, the nominated mask and each graph's distinct
+    count.  No predicate nominates every graph.
+
+    A nominated graph is confirmed with the exact route.  A graph with a
+    neighbouring gap in the window [cluster_tol / 10, 10 * cluster_tol],
+    where rounding could decide whether the two values cluster, is solved at
+    tightened precision instead, whether or not it was nominated, and logged
+    under its label if given, else with its nomination."""
+    orders = np.array([g.n for g in graphs])
+    nominated, ambiguous, distinct = (np.zeros(len(graphs), dtype=t) for t in (bool, bool, int))
+    for n in {g.n for g in graphs}:  # not np.unique: it imports numpy.ma (~1 MB)
+        rows = np.flatnonzero(orders == n)
+        vals = _batched_l_values([graphs[i] for i in rows], n)
+        nominated[rows] = True if predicate is None else predicate.matches_batch(vals, cluster_tol)
+        gaps = np.diff(vals, axis=1)
+        ambiguous[rows] = ((gaps >= cluster_tol / 10) & (gaps <= cluster_tol * 10)).any(axis=1)
+        distinct[rows] = 1 + (gaps > cluster_tol).sum(axis=1)
+    matches = []
+    for i in np.flatnonzero(nominated | ambiguous):
+        if ambiguous[i]:
+            note = {"label": labels[i]} if labels else {"fast_route_candidate": bool(nominated[i])}
+            spec = _tight_spectrum(graphs[i], predicate, cluster_tol, borderline_log, **note)
+            distinct[i] = spec.distinct_count
+        else:
+            spec = cluster_spectrum(jacobi_eigen(build(graphs[i]).L).values, cluster_tol)
+        if predicate is None or predicate.matches(spec):
+            matches.append((int(i), spec))
+    return matches, nominated, distinct
+
+
+def _scan_classes(
     n: int,
     codes: list[int],
     predicate: SpectrumPredicate,
@@ -427,34 +459,13 @@ def _scan_order(
     hits: dict,
     borderline_log: list[dict],
 ) -> dict:
-    """Test the classes with canonical codes `codes` on n vertices against
-    the predicate with one batched eigensolve and fold the matching ones into
-    `hits`; returns the counts.
-
-    A nominated class is confirmed with the exact route; a class with a
-    borderline gap is solved at tightened precision instead, and logged,
-    whether or not it was nominated."""
+    """Fold the classes with canonical codes `codes` on n vertices that
+    match the predicate into `hits`; returns the counts."""
     graphs = [_graph_of_code(n, code) for code in codes]
-    vals = _batched_l_values(graphs, n)
-    nominated = predicate.matches_batch(vals, cluster_tol)
-    ambiguous = _borderline(vals, cluster_tol)
-    found = 0
-    for i in np.flatnonzero(nominated | ambiguous):
-        g = graphs[i]
-        if ambiguous[i]:
-            spec = _tight_spectrum(
-                g,
-                predicate,
-                cluster_tol,
-                borderline_log,
-                fast_route_candidate=bool(nominated[i]),
-            )
-        else:
-            spec = cluster_spectrum(jacobi_eigen(build(g).L).values, cluster_tol)
-        if predicate.matches(spec):
-            hits[(n, codes[i])] = _hit(g, codes[i], spec)
-            found += 1
-    return {"eigensolved": len(codes), "candidates": int(nominated.sum()), "hits": found}
+    matches, nominated, _ = _scan_order(graphs, predicate, cluster_tol, borderline_log)
+    for i, spec in matches:
+        hits[(n, codes[i])] = _hit(graphs[i], codes[i], spec)
+    return {"eigensolved": len(codes), "candidates": int(nominated.sum()), "hits": len(matches)}
 
 
 def _finish_report(
@@ -504,7 +515,7 @@ def scan_connected(
         str(n): {
             "scanned": len(level),
             "connected": sum(math.factorial(n) // aut for aut in level.values()),
-            **_scan_order(n, list(level), predicate, cluster_tol, hits, borderline_log),
+            **_scan_classes(n, list(level), predicate, cluster_tol, hits, borderline_log),
         }
         for n, level in connected_classes(n_max).items()
     }
@@ -534,7 +545,7 @@ def scan_bipartite_pendant(
     counts = {
         str(n): {
             "scanned": len(level),
-            **_scan_order(n, pendant, predicate, cluster_tol, hits, borderline_log),
+            **_scan_classes(n, pendant, predicate, cluster_tol, hits, borderline_log),
         }
     }
     return _finish_report(
@@ -548,40 +559,34 @@ def scan_unicyclic(
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> ScanReport:
     """Tabulate distinct-eigenvalue counts over all unicyclic family members
-    with parameters up to param_max (the bare cycles C3..C7 included).
+    with parameters up to param_max <= 20 (the bare cycles C3..C7 included).
 
     With a predicate, hits are the members matching it; without one, every
-    member becomes a hit, so the report is the full table.  Hits on at most
-    8 vertices carry canonical forms; larger ones are distinguished by their
-    family label.  A member whose eigenvalues have a gap in the borderline
-    window is re-solved at tightened precision and logged.
+    member becomes a hit, so the report is the full table.  Members are
+    pairwise non-isomorphic, so hits are keyed by family label; those on at
+    most 8 vertices also carry canonical forms.  A member whose eigenvalues
+    have a gap in the borderline window is re-solved at tightened precision
+    and logged under its label.
     """
-    if param_max < 1:
-        raise ValueError("param_max must be >= 1")
+    # the largest member, U4(p, p, p), has 3 + 3p vertices: at most 63 keeps
+    # each adjacency row inside the int64 of the batched eigensolve
+    if not 1 <= param_max <= 20:
+        raise ValueError("param_max must be in 1..20")
     specs = all_unicyclic_specs(param_max)
-    hits: dict = {}
+    graphs = [unicyclic(spec) for spec in specs]
+    labels = [str(spec) for spec in specs]
     borderline_log: list[dict] = []
-    by_n: dict = {}
-    by_distinct: dict = {}
-    for spec in specs:
-        g = unicyclic(spec)
-        label = str(spec)
-        values = jacobi_eigen(build(g).L).values
-        if _borderline(np.sort(values), cluster_tol):
-            lspec = _tight_spectrum(g, predicate, cluster_tol, borderline_log, label=label)
-        else:
-            lspec = cluster_spectrum(values, cluster_tol)
-        by_n[str(g.n)] = by_n.get(str(g.n), 0) + 1
-        key_d = str(lspec.distinct_count)
-        by_distinct[key_d] = by_distinct.get(key_d, 0) + 1
-        if predicate is not None and not predicate.matches(lspec):
-            continue
-        key = (g.n, canonical_form(g) if g.n <= 8 else label)
-        if key not in hits:
-            hits[key] = _hit(g, key[1] if g.n <= 8 else None, lspec, label)
-    counts = {"members": len(specs), "by_n": by_n, "by_distinct": by_distinct}
-    n_lo = min(key[0] for key in hits) if hits else 3
-    n_hi = max(key[0] for key in hits) if hits else 3 + 3 * param_max
+    matches, _, distinct = _scan_order(graphs, predicate, cluster_tol, borderline_log, labels)
+    hits = {}
+    for i, spec in matches:
+        g = graphs[i]
+        hits[labels[i]] = _hit(g, canonical_form(g) if g.n <= 8 else None, spec, labels[i])
+    counts = {
+        "members": len(specs),
+        "by_n": dict(Counter(str(g.n) for g in graphs)),
+        "by_distinct": dict(Counter(str(d) for d in distinct)),
+    }
+    ns = [h.n for h in hits.values()] or [3, 3 + 3 * param_max]
     return _finish_report(
-        "unicyclic", predicate, (n_lo, n_hi), hits, counts, borderline_log, cluster_tol
+        "unicyclic", predicate, (min(ns), max(ns)), hits, counts, borderline_log, cluster_tol
     )

@@ -385,6 +385,13 @@ def test_enumerate_unicyclic_csv(capsys):
     assert len(lines) == 3  # C4 and C5
 
 
+def test_enumerate_unicyclic_param_max_is_bounded(capsys):
+    # U4(21,21,21) would have 66 vertices
+    code, out, err = run(capsys, "enumerate", "--scan", "unicyclic", "--param-max", "21")
+    assert code == 2 and out == ""
+    assert "param_max must be in 1..20" in err
+
+
 def test_enumerate_jobs_deterministic(capsys):
     # --jobs is accepted and ignored
     code, serial, _ = run(capsys, "enumerate", "--scan", "connected", "--nmax", "5")

@@ -1,5 +1,8 @@
 """Graph family constructors and their closed-form spectra."""
 
+import itertools
+
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -124,6 +127,19 @@ def test_all_unicyclic_specs_distinct_graphs():
         key = (g.n, canonical_form(g))
         assert key not in seen, f"{spec} duplicates {seen[key]}"
         seen[key] = spec
+
+
+def test_all_unicyclic_specs_pairwise_non_isomorphic_oracle():
+    # networkx decides isomorphism at every order, so the unicyclic scan can
+    # key its hits by family label
+    buckets: dict = {}
+    for spec in all_unicyclic_specs(4):
+        h = nx.Graph(unicyclic(spec).edges())
+        buckets.setdefault(tuple(sorted(d for _, d in h.degree())), []).append((spec, h))
+    assert len(buckets) > 1
+    for members in buckets.values():
+        for (s1, h1), (s2, h2) in itertools.combinations(members, 2):
+            assert not nx.is_isomorphic(h1, h2), f"{s1} is isomorphic to {s2}"
 
 
 def test_parse_family_tokens():

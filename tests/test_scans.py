@@ -268,6 +268,11 @@ def test_scan_solves_each_class_once(monkeypatch):
     assert report.borderline == ()
     assert len(orders) == sum(c["candidates"] for c in report.counts.values())
     assert len(orders) == len(report.hits)
+    # the unicyclic scan takes the same route: one solve per hit, not per member
+    orders.clear()
+    report = scan_unicyclic(5, parse_predicate("distinct:4"))
+    assert report.borderline == ()
+    assert len(orders) == len(report.hits) == 4
 
 
 def test_borderline_window_follows_cluster_tol():
@@ -290,19 +295,18 @@ def test_scan_unicyclic_sees_near_ties_inside_a_cluster(monkeypatch):
     one cluster at the default tolerance) is borderline, and its tight
     re-solve gives the hits of the unperturbed scan."""
     clean = scan_unicyclic(2)
-    real = scans.jacobi_eigen
+    real = scans._batched_l_values
 
-    def split_ties(m, tol=1e-12, **kwargs):
-        dec = real(m, tol=tol, **kwargs)
-        if tol < 1e-12:
-            return dec
-        vals = dec.values.copy()  # descending
-        for i in range(1, len(vals)):
-            if dec.values[i - 1] - dec.values[i] < 1e-9:
-                vals[i] = vals[i - 1] - 5e-7
-        return type(dec)(values=vals, vectors=dec.vectors)
+    def split_ties(graphs, n):
+        raw = real(graphs, n)
+        vals = raw.copy()  # ascending, one row per graph
+        for row, raw_row in zip(vals, raw):
+            for i in range(1, n):
+                if raw_row[i] - raw_row[i - 1] < 1e-9:
+                    row[i] = row[i - 1] + 5e-7
+        return vals
 
-    monkeypatch.setattr(scans, "jacobi_eigen", split_ties)
+    monkeypatch.setattr(scans, "_batched_l_values", split_ties)
     report = scan_unicyclic(2)
     repeated = {h.label for h in clean.hits if max(h.spectrum.multiplicities) > 1}
     assert "U7" in repeated  # C4: 0, 1, 1, 2
