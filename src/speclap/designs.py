@@ -485,14 +485,16 @@ def design_to_json_dict(d: Design) -> dict:
 
 
 def design_from_json_dict(data: dict) -> Design:
-    if "incidence" not in data:
-        raise ValueError('design JSON needs an "incidence" key')
+    if not isinstance(data, dict) or "incidence" not in data:
+        raise ValueError('design JSON needs an object with an "incidence" key')
     rows = data["incidence"]
-    if any(set(r) - {"0", "1"} for r in rows):
+    if not isinstance(rows, list) or any(
+        not isinstance(r, str) or set(r) - {"0", "1"} for r in rows
+    ):
         raise ValueError("incidence rows must be strings of 0s and 1s")
     c = np.array([[int(ch) for ch in row] for row in rows], dtype=np.int64)
     d = Design.from_incidence(c)
     for key, got in (("v", d.v), ("b", d.b), ("r", d.r), ("k", d.k), ("lambda", d.lam)):
-        if key in data and int(data[key]) != got:
+        if key in data and not (isinstance(data[key], (int, str)) and int(data[key]) == got):
             raise ValueError(f"stated {key}={data[key]} disagrees with incidence ({got})")
     return d

@@ -27,7 +27,6 @@ __all__ = [
     "to_graph6",
     "from_graph6",
     "to_json_dict",
-    "from_json_dict",
 ]
 
 MAX_VERTICES = 64
@@ -305,17 +304,23 @@ def is_complete_multipartite(g: Graph) -> tuple[int, ...] | None:
 
 
 def to_graph6(g: Graph) -> str:
-    """Encode in graph6 (printable-ASCII) form; supports n <= 62."""
+    """Encode in graph6 (printable-ASCII) form.
+
+    The order header is one byte n + 63 for n <= 62, else '~' followed by n
+    as three 6-bit bytes, each + 63, high bits first; see
+    https://users.cecs.anu.edu.au/~bdm/data/formats.txt
+    """
     n = g.n
-    if n > 62:
-        raise ValueError("graph6 encoding here only supports n <= 62")
     bits = []
     for j in range(1, n):
         for i in range(j):
             bits.append(1 if g.has_edge(i, j) else 0)
     while len(bits) % 6:
         bits.append(0)
-    out = [chr(n + 63)]
+    if n <= 62:
+        out = [chr(n + 63)]
+    else:
+        out = ["~"] + [chr((n >> shift & 63) + 63) for shift in (12, 6, 0)]
     for k in range(0, len(bits), 6):
         val = 0
         for b in bits[k : k + 6]:
@@ -332,11 +337,16 @@ def from_graph6(s: str) -> Graph:
     if not s:
         raise ValueError("empty graph6 string")
     data = [ord(c) - 63 for c in s]
-    if data[0] < 0 or data[0] > 62:
+    if not 0 <= data[0] <= 63:
         raise ValueError("unsupported graph6 order byte")
-    n = data[0]
+    n, body = data[0], data[1:]
+    if n == 63:  # '~': n in the next three bytes, six bits each
+        if len(body) < 3 or not all(0 <= b <= 63 for b in body[:3]):
+            raise ValueError("graph6 '~' needs three order bytes")
+        n, body = body[0] << 12 | body[1] << 6 | body[2], body[3:]
+    if n > MAX_VERTICES:
+        raise ValueError(f"graph6 order {n} exceeds {MAX_VERTICES} vertices")
     need = (n * (n - 1) // 2 + 5) // 6
-    body = data[1:]
     if len(body) != need:
         raise ValueError(
             f"graph6 body length {len(body)} does not match order {n} (need {need})"
@@ -359,9 +369,3 @@ def from_graph6(s: str) -> Graph:
 
 def to_json_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
-
-
-def from_json_dict(d: dict) -> Graph:
-    if "n" not in d or "edges" not in d:
-        raise ValueError('graph JSON needs "n" and "edges" keys')
-    return from_edge_list(int(d["n"]), d["edges"])

@@ -2,9 +2,11 @@
 
 The eigensolver is a cyclic Jacobi iteration: it rotates away off-diagonal
 mass one (p, q) plane at a time until the largest off-diagonal entry drops
-below a threshold.  For the matrix orders this package works with (n <= 64)
-Jacobi is plenty fast, and it produces an orthogonal eigenvector matrix by
-construction, which keeps residual checks honest.
+below DEFAULT_JACOBI_TOL.  It produces an orthogonal eigenvector matrix by
+construction.  Its callers are all in `nlspec`: the one L solve of
+`SpectralContext.eigen`, `adjacency_spectrum` and the Gram-matrix solve of
+the bipartite factorization.  The exhaustive scans do not use it; they take
+their spectra from one batched `numpy.linalg.eigvalsh` call per order.
 
 Spectra are stored clustered: a sorted run of eigenvalues is merged into
 (value, multiplicity) pairs by single linkage with a fixed tolerance, and the
@@ -35,7 +37,7 @@ __all__ = [
 #: default threshold for declaring two eigenvalues equal when clustering
 DEFAULT_CLUSTER_TOL = 1e-6
 
-#: default off-diagonal sweep threshold for the Jacobi iteration
+#: off-diagonal sweep threshold for the Jacobi iteration
 DEFAULT_JACOBI_TOL = 1e-12
 
 _MAX_SWEEPS = 60
@@ -79,36 +81,28 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
-def jacobi_eigen(
-    m: "np.ndarray | Sequence",
-    tol: float = DEFAULT_JACOBI_TOL,
-) -> EigenDecomposition:
+def jacobi_eigen(m: "np.ndarray | Sequence") -> EigenDecomposition:
     """Diagonalize a symmetric matrix by cyclic Jacobi rotations.
 
-    Parameters
-    ----------
-    m : square symmetric array
-    tol : stop once every off-diagonal entry is <= tol in absolute value;
-        more than _MAX_SWEEPS sweeps raise JacobiConvergenceError
-
-    Returns eigenvalues sorted descending together with the accumulated
-    rotation matrix, whose columns are the corresponding eigenvectors.
+    Sweeps stop once every off-diagonal entry is <= DEFAULT_JACOBI_TOL in
+    absolute value; more than _MAX_SWEEPS sweeps raise
+    JacobiConvergenceError.  Returns eigenvalues sorted descending together
+    with the accumulated rotation matrix, whose columns are the
+    corresponding eigenvectors.
     """
     a = as_symmetric(m).copy()
     n = a.shape[0]
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     v = np.eye(n)
     if n < 2:
         return EigenDecomposition(values=np.diag(a).copy(), vectors=v)
 
     # rotations smaller than this are skipped inside a sweep; anything the
     # sweep skips is already far below the stopping threshold
-    skip = tol * 1e-2
+    skip = DEFAULT_JACOBI_TOL * 1e-2
     sweeps = 0
     while True:
         off = _max_offdiag(a)
-        if off <= tol:
+        if off <= DEFAULT_JACOBI_TOL:
             break
         if sweeps >= _MAX_SWEEPS:
             raise JacobiConvergenceError(n, sweeps, off)
@@ -203,14 +197,6 @@ class Spectrum:
     def expand(self) -> np.ndarray:
         """Full eigenvalue list (descending, with multiplicity)."""
         return np.repeat([v for v, _ in self.pairs], [m for _, m in self.pairs])
-
-    def multiplicity_of(self, value: float, tol: float | None = None) -> int:
-        """Multiplicity of the cluster within `tol` of `value` (0 if none)."""
-        t = self.cluster_tol if tol is None else tol
-        for v, m in self.pairs:
-            if abs(v - value) <= t:
-                return m
-        return 0
 
     def round_to(self, ndigits: int) -> tuple[tuple[float, int], ...]:
         return tuple((round(v, ndigits), m) for v, m in self.pairs)

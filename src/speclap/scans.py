@@ -18,14 +18,15 @@ individualization search over bitmask adjacency rows, which also counts
 the automorphisms, so the labeled counts come out as sums of n!/|Aut|).
 The unicyclic family members are pairwise non-isomorphic already.  One
 driver takes all three: it solves each order's graphs in one batched dense
-eigensolve, evaluates a cheap clustered-gap predicate, and *confirms* each
-nominated graph with the package's own Jacobi eigensolver.
+eigensolve, nominates rows with a vectorized clustered-gap predicate, and
+clusters each nominated row into the hit's spectrum, which must pass the
+predicate too.  Every graph is solved exactly once.
 
 Every tolerance follows the cluster tolerance `tol` (the CLI's --tol): the
 predicate compares values to within `tol`, and a graph with a neighbouring
 eigenvalue gap in the window [tol/10, 10*tol], where rounding could decide
-the clustering, is re-solved at tightened precision and logged as
-borderline, whether or not the fast route matched it.
+the clustering, is tested whether or not the fast route nominated it and
+logged as borderline.
 """
 
 from __future__ import annotations
@@ -39,14 +40,7 @@ import numpy as np
 
 from .families import all_unicyclic_specs, unicyclic
 from .graph import Graph, bipartite_split, from_edge_list, to_graph6
-from .linalg import (
-    DEFAULT_CLUSTER_TOL,
-    Spectrum,
-    cluster_spectrum,
-    format_value,
-    jacobi_eigen,
-)
-from .nlspec import build
+from .linalg import DEFAULT_CLUSTER_TOL, Spectrum, cluster_spectrum, format_value
 
 __all__ = [
     "SpectrumPredicate",
@@ -333,9 +327,6 @@ class ScanReport:
                 raise ValueError(f"duplicate canonical form in hits: {key}")
             seen.add(key)
 
-    def hit_canonicals(self) -> set[tuple[int, int]]:
-        return {(h.n, h.canonical) for h in self.hits if h.canonical is not None}
-
     def to_json_dict(self) -> dict:
         return {
             "scan": self.scan,
@@ -373,39 +364,13 @@ def _batched_l_values(graphs: list[Graph], n: int) -> np.ndarray:
     return np.linalg.eigvalsh(L)
 
 
-# ---------------------------------------------------------------------------
-# confirmation with the exact route
-
-
-def _tight_spectrum(
-    g: Graph,
-    predicate: SpectrumPredicate | None,
-    cluster_tol: float,
-    borderline_log: list[dict],
-    **note,
-) -> Spectrum:
-    """Solve a borderline graph at tightened Jacobi precision and log the
-    outcome, with the scan's own `note` fields appended."""
-    spec = cluster_spectrum(jacobi_eigen(build(g).L, tol=1e-14).values, cluster_tol)
-    borderline_log.append(
-        {
-            "n": g.n,
-            "graph6": to_graph6(g) if g.n <= 62 else None,
-            "distinct_count": spec.distinct_count,
-            "matched": predicate is None or predicate.matches(spec),
-            **note,
-        }
-    )
-    return spec
-
-
 def _hit(
     g: Graph, canonical: int | None, spec: Spectrum, label: str | None = None
 ) -> ScanHit:
     return ScanHit(
         n=g.n,
         canonical=canonical,
-        graph6=to_graph6(g) if g.n <= 62 else "",
+        graph6=to_graph6(g),
         spectrum=spec,
         distinct_count=spec.distinct_count,
         label=label,
@@ -424,13 +389,15 @@ def _scan_order(
     pairs in input order, the nominated mask and each graph's distinct
     count.  No predicate nominates every graph.
 
-    A nominated graph is confirmed with the exact route.  A graph with a
-    neighbouring gap in the window [cluster_tol / 10, 10 * cluster_tol],
-    where rounding could decide whether the two values cluster, is solved at
-    tightened precision instead, whether or not it was nominated, and logged
-    under its label if given, else with its nomination."""
+    A nominated graph's clustered eigenvalue row must also pass
+    `predicate.matches`.  A graph with a neighbouring gap in the window
+    [cluster_tol / 10, 10 * cluster_tol], where rounding could decide whether
+    the two values cluster, is tested the same way whether or not it was
+    nominated, and logged under its label if given, else with its
+    nomination."""
     orders = np.array([g.n for g in graphs])
     nominated, ambiguous, distinct = (np.zeros(len(graphs), dtype=t) for t in (bool, bool, int))
+    row_of: dict[int, np.ndarray] = {}
     for n in {g.n for g in graphs}:  # not np.unique: it imports numpy.ma (~1 MB)
         rows = np.flatnonzero(orders == n)
         vals = _batched_l_values([graphs[i] for i in rows], n)
@@ -438,16 +405,25 @@ def _scan_order(
         gaps = np.diff(vals, axis=1)
         ambiguous[rows] = ((gaps >= cluster_tol / 10) & (gaps <= cluster_tol * 10)).any(axis=1)
         distinct[rows] = 1 + (gaps > cluster_tol).sum(axis=1)
+        keep = nominated[rows] | ambiguous[rows]
+        row_of.update(zip(rows[keep].tolist(), vals[keep]))
     matches = []
-    for i in np.flatnonzero(nominated | ambiguous):
+    for i in np.flatnonzero(nominated | ambiguous).tolist():
+        spec = cluster_spectrum(row_of[i], cluster_tol)
+        matched = predicate is None or predicate.matches(spec)
         if ambiguous[i]:
             note = {"label": labels[i]} if labels else {"fast_route_candidate": bool(nominated[i])}
-            spec = _tight_spectrum(graphs[i], predicate, cluster_tol, borderline_log, **note)
-            distinct[i] = spec.distinct_count
-        else:
-            spec = cluster_spectrum(jacobi_eigen(build(graphs[i]).L).values, cluster_tol)
-        if predicate is None or predicate.matches(spec):
-            matches.append((int(i), spec))
+            borderline_log.append(
+                {
+                    "n": graphs[i].n,
+                    "graph6": to_graph6(graphs[i]),
+                    "distinct_count": spec.distinct_count,
+                    "matched": matched,
+                    **note,
+                }
+            )
+        if matched:
+            matches.append((i, spec))
     return matches, nominated, distinct
 
 
@@ -565,8 +541,7 @@ def scan_unicyclic(
     member becomes a hit, so the report is the full table.  Members are
     pairwise non-isomorphic, so hits are keyed by family label; those on at
     most 8 vertices also carry canonical forms.  A member whose eigenvalues
-    have a gap in the borderline window is re-solved at tightened precision
-    and logged under its label.
+    have a gap in the borderline window is logged under its label.
     """
     # the largest member, U4(p, p, p), has 3 + 3p vertices: at most 63 keeps
     # each adjacency row inside the int64 of the batched eigensolve

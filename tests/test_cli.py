@@ -118,6 +118,9 @@ FAMILY_TOKENS = [
     "U13",
     "U14",
     "thm41:1",
+    # 63 and 64 vertices: graph6 with the '~' order header
+    "U4:20,20,20",
+    "thm41:8",
 ]
 
 
@@ -239,6 +242,15 @@ def test_design_validate_bad_json(capsys, monkeypatch):
     code, out, _ = run(capsys, "design", "--validate")
     assert code == 1
     assert json.loads(out)["valid"] is False
+    # malformed JSON shapes: invalid for --validate, usage errors otherwise
+    for text in ["5", "[null]", '{"incidence": [1, 2]}', '{"incidence": [null]}']:
+        feed(monkeypatch, text)
+        code, out, _ = run(capsys, "design", "--validate")
+        assert code == 1 and json.loads(out)["valid"] is False, text
+        for action in ("--complement", "--incidence-graph"):
+            feed(monkeypatch, text)
+            code, _, err = run(capsys, "design", action)
+            assert code == 2 and err.startswith("error:"), (text, action)
 
 
 def test_design_requires_exactly_one_action(capsys, monkeypatch):

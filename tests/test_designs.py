@@ -230,3 +230,7 @@ def test_design_json_rejects_mismatched_params():
     blob["lambda"] = 5
     with pytest.raises(ValueError):
         design_from_json_dict(blob)
+    # malformed shapes are ValueErrors too, never TypeErrors
+    for bad in [5, [None], {"incidence": [1, 2]}, {"incidence": [None]}, {**blob, "lambda": None}]:
+        with pytest.raises(ValueError):
+            design_from_json_dict(bad)

@@ -16,7 +16,6 @@ from speclap.graph import (
     duplicate_classes,
     from_edge_list,
     from_graph6,
-    from_json_dict,
     induced_subgraph,
     is_complete_multipartite,
     is_connected,
@@ -152,16 +151,14 @@ def test_is_complete_multipartite():
 
 def test_graph6_round_trip_random():
     rng = np.random.default_rng(31)
-    for _ in range(300):
-        n = int(rng.integers(1, 14))
+    for n in [int(rng.integers(1, 14)) for _ in range(300)] + [63, 64]:
         g = random_graph(n, float(rng.uniform(0, 1)), rng)
         assert from_graph6(to_graph6(g)) == g
 
 
 def test_graph6_matches_networkx():
     rng = np.random.default_rng(37)
-    for _ in range(100):
-        n = int(rng.integers(1, 12))
+    for n in [int(rng.integers(1, 12)) for _ in range(100)] + [63, 64]:
         g = random_graph(n, float(rng.uniform(0.2, 0.8)), rng)
         s = to_graph6(g)
         h = nx.from_graph6_bytes(s.encode())
@@ -171,6 +168,11 @@ def test_graph6_matches_networkx():
         # and decode what networkx encodes
         s_nx = nx.to_graph6_bytes(to_nx(g), header=False).decode().strip()
         assert from_graph6(s_nx) == g
+    # orders 63 and 64 take the '~' header: networkx writes ~??~~... for K63
+    assert to_graph6(complete(63)).startswith("~??~~")
+    for n in (63, 64):
+        s_nx = nx.to_graph6_bytes(nx.complete_graph(n), header=False).decode().strip()
+        assert to_graph6(complete(n)) == s_nx
 
 
 def test_graph6_rejects_garbage():
@@ -178,10 +180,16 @@ def test_graph6_rejects_garbage():
         from_graph6("")
     with pytest.raises(ValueError):
         from_graph6("\x19bad")
+    # a '~' header needs three order bytes, then a body of the right length;
+    # 65 vertices exceed what Graph holds
+    too_big = nx.to_graph6_bytes(nx.complete_graph(65), header=False).decode().strip()
+    for bad in ["~", "~??", "~?@?", "~~??????", "\x7f", too_big]:
+        with pytest.raises(ValueError):
+            from_graph6(bad)
 
 
 def test_json_round_trip():
     g = from_edge_list(5, [(0, 1), (2, 3), (3, 4)])
-    assert from_json_dict(to_json_dict(g)) == g
     d = to_json_dict(g)
+    assert from_edge_list(d["n"], d["edges"]) == g
     assert d["n"] == 5 and sorted(map(tuple, d["edges"])) == [(0, 1), (2, 3), (3, 4)]

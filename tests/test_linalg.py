@@ -89,13 +89,6 @@ def test_spectrum_validates_ordering():
         Spectrum(pairs=((1.0, 0),), cluster_tol=1e-6)
 
 
-def test_spectrum_multiplicity_lookup():
-    spec = cluster_spectrum([2.0, 1.0, 1.0, 0.0])
-    assert spec.multiplicity_of(1.0) == 2
-    assert spec.multiplicity_of(0.5) == 0
-    assert spec.multiplicity_of(1.0 + 5e-7) == 2
-
-
 def test_spectra_match_requires_exact_multiplicities():
     computed = cluster_spectrum([2.0, 1.0 + 1e-10, 1.0, 0.0])
     good = PredictedSpectrum(pairs=((2.0, 1), (1.0, 2), (0.0, 1)))
