@@ -1,8 +1,9 @@
 """Dense symmetric eigensolver and spectrum bookkeeping.
 
-The eigensolver is a cyclic Jacobi iteration: it rotates away off-diagonal
-mass one (p, q) plane at a time until the largest off-diagonal entry drops
-below DEFAULT_JACOBI_TOL.  It produces an orthogonal eigenvector matrix by
+The eigensolver is a Jacobi iteration in the round-robin order of Brent and
+Luk: each round rotates away the off-diagonal mass of n/2 disjoint (p, q)
+planes in one matrix product, until the largest off-diagonal entry drops
+below DEFAULT_JACOBI_TOL.  Its eigenvector matrix is orthogonal by
 construction.  Its callers are all in `nlspec`: the one L solve of
 `SpectralContext.eigen`, `adjacency_spectrum` and the Gram-matrix solve of
 the bipartite factorization.  The exhaustive scans do not use it; they take
@@ -15,6 +16,7 @@ stored value is the mean of each cluster.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -82,74 +84,72 @@ class EigenDecomposition:
 
 
 def jacobi_eigen(m: "np.ndarray | Sequence") -> EigenDecomposition:
-    """Diagonalize a symmetric matrix by cyclic Jacobi rotations.
+    """Diagonalize a symmetric matrix by round-robin Jacobi rotations.
 
-    Sweeps stop once every off-diagonal entry is <= DEFAULT_JACOBI_TOL in
-    absolute value; more than _MAX_SWEEPS sweeps raise
-    JacobiConvergenceError.  Returns eigenvalues sorted descending together
-    with the accumulated rotation matrix, whose columns are the
-    corresponding eigenvectors.
+    A sweep visits every (p, q) plane once, in the n - 1 rounds of the
+    parallel ordering of Brent & Luk (SIAM J. Sci. Stat. Comput. 6, 1985).
+    A round's planes are disjoint, so its rotations commute and are applied
+    as one orthogonal matrix.  Sweeps stop once every off-diagonal entry is
+    <= DEFAULT_JACOBI_TOL in absolute value; more than _MAX_SWEEPS sweeps
+    raise JacobiConvergenceError.  Returns the eigenvalues, descending, and
+    the accumulated rotation matrix, whose columns are their eigenvectors.
     """
-    a = as_symmetric(m).copy()
-    n = a.shape[0]
-    v = np.eye(n)
+    a0 = as_symmetric(m)
+    n = a0.shape[0]
     if n < 2:
-        return EigenDecomposition(values=np.diag(a).copy(), vectors=v)
+        return EigenDecomposition(values=np.diag(a0).copy(), vectors=np.eye(n))
 
+    # an odd order gets one dummy index; its row and column stay exactly
+    # zero, so none of its planes is ever rotated, and it is sliced off below
+    size = n + n % 2
+    a = np.zeros((size, size))
+    a[:n, :n] = a0
+    v = np.eye(size)
     # rotations smaller than this are skipped inside a sweep; anything the
     # sweep skips is already far below the stopping threshold
     skip = DEFAULT_JACOBI_TOL * 1e-2
     sweeps = 0
     while True:
-        off = _max_offdiag(a)
+        off = float(np.abs(a - np.diag(np.diag(a))).max())
         if off <= DEFAULT_JACOBI_TOL:
             break
         if sweeps >= _MAX_SWEEPS:
             raise JacobiConvergenceError(n, sweeps, off)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                _rotate(a, v, p, q, apq)
+        for p, q, at in _round_robin(size):
+            apq = a[p, q]
+            live = np.abs(apq) > skip
+            if not live.any():
+                continue
+            # classical 2x2 annihilation, tan(theta) of smaller magnitude:
+            # t = b / (d + sign(d) hypot(d, b)) with b = 2 a_pq, d = a_qq - a_pp
+            b = 2.0 * apq
+            d = a[q, q] - a[p, p]
+            t = np.divide(b, d + np.copysign(np.hypot(d, b), d), out=np.zeros_like(b), where=live)
+            c = 1.0 / np.hypot(1.0, t)
+            s = t * c
+            j = np.zeros((size, size))
+            j.ravel()[at] = np.concatenate((c, c, s, -s))
+            a = j.T @ a @ j
+            a = (a + a.T) * 0.5
+            a[p, q] = a[q, p] = np.where(live, 0.0, apq)
+            v = v @ j
         sweeps += 1
 
-    values = np.diag(a).copy()
+    values = np.diag(a)[:n]
     order = np.argsort(values)[::-1]
-    return EigenDecomposition(values=values[order], vectors=v[:, order])
+    return EigenDecomposition(values=values[order], vectors=v[:n, order])
 
 
-def _max_offdiag(a: np.ndarray) -> float:
-    b = np.abs(a.copy())
-    np.fill_diagonal(b, 0.0)
-    return float(b.max())
-
-
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int, apq: float) -> None:
-    # classical 2x2 annihilation: pick tan(theta) of smaller magnitude
-    tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-    if tau >= 0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-
-    ap = a[:, p].copy()
-    aq = a[:, q].copy()
-    a[:, p] = c * ap - s * aq
-    a[:, q] = s * ap + c * aq
-    ap = a[p, :].copy()
-    aq = a[q, :].copy()
-    a[p, :] = c * ap - s * aq
-    a[q, :] = s * ap + c * aq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - s * vq
-    v[:, q] = s * vp + c * vq
+@functools.lru_cache(maxsize=32)
+def _round_robin(size: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    # even order: size - 1 rounds of disjoint planes (p, q), p < q, and the
+    # flat positions of (p, p), (q, q), (p, q), (q, p); 0 stays, the rest cycle
+    rounds = []
+    for r in range(size - 1):
+        slots = np.r_[0, np.roll(np.arange(1, size), r)]
+        p, q = np.sort([slots[: size // 2], slots[: size // 2 - 1 : -1]], axis=0)
+        rounds.append((p, q, np.r_[p * size + p, q * size + q, p * size + q, q * size + p]))
+    return tuple(rounds)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from speclap import linalg
+from speclap.designs import hadamard_to_design, incidence_graph, sylvester_of_order
+from speclap.families import complete
 from speclap.linalg import (
     DEFAULT_CLUSTER_TOL,
+    DEFAULT_JACOBI_TOL,
+    JacobiConvergenceError,
     PredictedSpectrum,
     Spectrum,
     as_symmetric,
@@ -14,6 +21,7 @@ from speclap.linalg import (
     quadratic_roots,
     spectra_match,
 )
+from speclap.nlspec import build
 
 
 def random_symmetric(n, rng):
@@ -21,24 +29,69 @@ def random_symmetric(n, rng):
     return (a + a.T) / 2
 
 
+def sylvester32_incidence():
+    """L and A of the 62-vertex incidence graph of the Sylvester-32 design."""
+    g, _ = incidence_graph(hadamard_to_design(sylvester_of_order(32)))
+    return build(g).L, g.adjacency_matrix().astype(float)
+
+
 def test_jacobi_matches_lapack():
     rng = np.random.default_rng(7)
-    for n in [1, 2, 3, 5, 8, 13, 20]:
-        a = random_symmetric(n, rng)
+    mats = [random_symmetric(n, rng) for n in [1, 2, 3, 4, 5, 7, 8, 13, 16, 17, 20, 31, 33, 62, 63, 64]]
+    mats += sylvester32_incidence()
+    for n in (5, 6):
+        kn = complete(n)
+        mats += [build(kn).L, kn.adjacency_matrix().astype(float)]
+    mats.append(np.zeros((6, 6)))
+    for a in mats:
         dec = jacobi_eigen(a)
         expected = np.linalg.eigvalsh(a)
         assert np.allclose(np.sort(dec.values), expected, atol=1e-10)
+        assert np.all(np.diff(dec.values) <= 0)  # descending
 
 
 def test_jacobi_eigenvectors_satisfy_equation():
     rng = np.random.default_rng(11)
-    a = random_symmetric(9, rng)
+    for n in (9, 63):  # 63: the odd order runs padded with a dummy index
+        a = random_symmetric(n, rng)
+        dec = jacobi_eigen(a)
+        for i in range(n):
+            v = dec.vectors[:, i]
+            assert np.linalg.norm(a @ v - dec.values[i] * v) < 1e-10
+        # orthonormal basis
+        assert np.allclose(dec.vectors.T @ dec.vectors, np.eye(n), atol=1e-12)
+
+
+def test_jacobi_raises_when_sweeps_run_out(monkeypatch):
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+    a = random_symmetric(12, np.random.default_rng(5))
+    with pytest.raises(JacobiConvergenceError) as info:
+        jacobi_eigen(a)
+    assert info.value.order == 12
+    assert info.value.sweeps == 1
+    assert info.value.off > DEFAULT_JACOBI_TOL
+
+
+def test_jacobi_converges_on_incidence_graph_within_20_sweeps(monkeypatch):
+    """These highly degenerate spectra take 9-10 round-robin sweeps; the
+    guard bounds sweeps, not time."""
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 20)
+    for a in sylvester32_incidence():
+        dec = jacobi_eigen(a)
+        assert np.allclose(np.sort(dec.values), np.linalg.eigvalsh(a), atol=1e-10)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.data())
+def test_jacobi_matches_lapack_on_random_01_matrices(data):
+    n = data.draw(st.integers(1, 40))
+    bits = data.draw(st.lists(st.booleans(), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    a = np.zeros((n, n))
+    a[np.triu_indices(n)] = bits
+    a += np.triu(a, 1).T
     dec = jacobi_eigen(a)
-    for i in range(9):
-        v = dec.vectors[:, i]
-        assert np.linalg.norm(a @ v - dec.values[i] * v) < 1e-10
-    # orthonormal basis
-    assert np.allclose(dec.vectors.T @ dec.vectors, np.eye(9), atol=1e-12)
+    assert np.allclose(np.sort(dec.values), np.linalg.eigvalsh(a), rtol=0, atol=1e-10)
+    assert np.allclose(dec.vectors.T @ dec.vectors, np.eye(n), rtol=0, atol=1e-12)
 
 
 def test_jacobi_diagonal_is_exact():
