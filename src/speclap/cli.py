@@ -22,6 +22,7 @@ eigenvalue clustering tolerance; --tol wins over both.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -53,10 +54,36 @@ def _emit(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        _write_file(args.output, text)
     else:
         sys.stdout.write(text)
+
+
+def _write_file(path: str, text: str) -> None:
+    """Write `text` to `path` atomically: a reader sees the old file or the
+    whole new one, and a failed write leaves no temp file behind.
+
+    A path that cannot name a regular file (an existing device, pipe or
+    directory, or one ending in a separator) is opened directly, so it writes
+    or fails as a plain open() would.  Other errors name `path` too.
+    """
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    if path.endswith(os.sep) or os.path.exists(target) and not os.path.isfile(target):
+        with open(path, "w") as fh:
+            fh.write(text)
+        return
+    tmp = os.path.join(os.path.dirname(target), f".speclap-{os.urandom(6).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _cluster_tol(args) -> float:
@@ -191,6 +218,8 @@ def _build_hadamard(args) -> designs.HadamardMatrix:
         return designs.sylvester_of_order(args.order)
     if args.q is None:
         raise ValueError(f"--method {args.method} needs --q")
+    # bound q before the trial division in prime_power, which is O(sqrt q)
+    designs.check_hadamard_order(args.q + 1 if args.method == "paley1" else 2 * (args.q + 1))
     pp = designs.prime_power(args.q)
     if pp is None:
         raise ValueError(f"q = {args.q} is not a prime power")
@@ -208,6 +237,8 @@ def cmd_hadamard(args) -> int:
         if args.check:
             try:
                 h = designs.HadamardMatrix.from_text(text)
+            except designs.HadamardOrderError:
+                raise  # too large to check: a usage error, not a verdict
             except ValueError as exc:
                 _emit(args, _dump_json({"hadamard": False, "error": str(exc)}))
                 return 1
@@ -354,6 +385,7 @@ def cmd_enumerate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser on every call; changing it does not affect `main`."""
     parser = argparse.ArgumentParser(
         prog="speclap",
         description="normalized-Laplacian spectra: compute, construct, verify, enumerate",
@@ -438,9 +470,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser `main` uses in this process.  Reusing it is safe
+    because parsing leaves it unchanged: every action stores a value and
+    `set_defaults` is only read."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; may be called any number of times in one process."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

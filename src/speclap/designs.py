@@ -28,6 +28,9 @@ __all__ = [
     "paley2",
     "sylvester",
     "hadamard_of_order",
+    "MAX_HADAMARD_ORDER",
+    "HadamardOrderError",
+    "check_hadamard_order",
     "HadamardMatrix",
     "hadamard_to_design",
     "Design",
@@ -66,6 +69,23 @@ def prime_power(q: int) -> tuple[int, int] | None:
             k += 1
         return (p, k) if m == 1 else None
     return (q, 1) if is_prime(q) else None
+
+
+#: Largest Hadamard order built or read.  Validating H H^T is cubic in the
+#: order (0.2 s at 512, about 8x more per doubling); the designs used here
+#: stop at order 36.
+MAX_HADAMARD_ORDER = 512
+
+
+class HadamardOrderError(ValueError):
+    """A Hadamard order above MAX_HADAMARD_ORDER."""
+
+
+def check_hadamard_order(m: int) -> None:
+    """Raise HadamardOrderError when order m is above MAX_HADAMARD_ORDER;
+    constructors call it before allocating anything of that order."""
+    if m > MAX_HADAMARD_ORDER:
+        raise HadamardOrderError(f"Hadamard order {m} exceeds {MAX_HADAMARD_ORDER}")
 
 
 # -- polynomial helpers over GF(p); coefficient tuples, index = degree ----
@@ -271,6 +291,7 @@ class HadamardMatrix:
         rows = [line.strip() for line in text.strip().splitlines() if line.strip()]
         if any(set(r) - {"+", "-"} for r in rows):
             raise ValueError("Hadamard text rows must contain only '+' and '-'")
+        check_hadamard_order(max([len(rows), *map(len, rows)]))
         a = np.array([[1 if ch == "+" else -1 for ch in r] for r in rows], dtype=np.int64)
         return cls(a)
 
@@ -281,6 +302,7 @@ def paley1(f: FiniteField) -> HadamardMatrix:
     if f.q % 4 != 3:
         raise ValueError(f"this construction needs q = 3 (mod 4), got q = {f.q}")
     q = f.q
+    check_hadamard_order(q + 1)
     s = np.zeros((q + 1, q + 1), dtype=np.int64)
     s[0, 1:] = 1
     s[1:, 0] = -1
@@ -299,6 +321,7 @@ def paley2(f: FiniteField) -> HadamardMatrix:
     if f.q % 4 != 1:
         raise ValueError(f"this construction needs q = 1 (mod 4), got q = {f.q}")
     q = f.q
+    check_hadamard_order(2 * (q + 1))
     s = np.zeros((q + 1, q + 1), dtype=np.int64)
     s[0, 1:] = 1
     s[1:, 0] = 1
@@ -311,6 +334,7 @@ def paley2(f: FiniteField) -> HadamardMatrix:
 
 def sylvester(h1: HadamardMatrix, h2: HadamardMatrix) -> HadamardMatrix:
     """Kronecker product of two Hadamard matrices (order multiplies)."""
+    check_hadamard_order(h1.order * h2.order)
     return HadamardMatrix(np.kron(h1.array, h2.array))
 
 
@@ -318,6 +342,7 @@ def sylvester_of_order(m: int) -> HadamardMatrix:
     """Hadamard matrix of power-of-two order m by repeated doubling."""
     if m < 1 or m & (m - 1):
         raise ValueError("doubling construction needs a power-of-two order")
+    check_hadamard_order(m)
     h = HadamardMatrix(np.array([[1]], dtype=np.int64))
     if m >= 2:
         h2 = HadamardMatrix(np.array([[1, 1], [1, -1]], dtype=np.int64))
@@ -339,6 +364,7 @@ def hadamard_of_order(m: int) -> HadamardMatrix:
         return HadamardMatrix(np.array([[1, 1], [1, -1]], dtype=np.int64))
     if m < 1 or m % 4:
         raise ValueError(f"no Hadamard matrix of order {m}")
+    check_hadamard_order(m)
     pp = prime_power(m - 1)
     if pp and (m - 1) % 4 == 3:
         return paley1(FiniteField(*pp))

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 
 from . import designs
-from .graph import BipartiteSplit, Graph, bipartite_split, from_edge_list
+from .graph import BipartiteSplit, Graph, bipartite_split, check_vertex_count, from_edge_list
 from .linalg import PredictedSpectrum, quadratic_roots
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
+    check_vertex_count(n)
     full = (1 << n) - 1
     return Graph(n, tuple(full & ~(1 << v) for v in range(n)))
 
@@ -57,6 +58,7 @@ def complete_multipartite(sizes: "tuple[int, ...] | list[int]") -> Graph:
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("part sizes must be positive")
     n = sum(sizes)
+    check_vertex_count(n)
     part_masks = []
     start = 0
     for s in sizes:
@@ -79,12 +81,14 @@ def complete_bipartite(s: int, t: int) -> Graph:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
+    check_vertex_count(n)
     return from_edge_list(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs n >= 1")
+    check_vertex_count(n)
     return from_edge_list(n, [(v, v + 1) for v in range(n - 1)])
 
 
@@ -95,13 +99,14 @@ def add_pendants(g: Graph, attach: "dict[int, int] | list[tuple[int, int]]") -> 
     consecutively after g's, grouped by attachment vertex in the given order.
     """
     items = list(attach.items()) if isinstance(attach, dict) else list(attach)
+    if any(count < 0 for _, count in items):
+        raise ValueError("pendant count must be >= 0")
+    check_vertex_count(g.n + sum(count for _, count in items))
     n = g.n
     edges = list(g.edges())
     for v, count in items:
         if not 0 <= v < g.n:
             raise ValueError(f"attachment vertex {v} out of range")
-        if count < 0:
-            raise ValueError("pendant count must be >= 0")
         for _ in range(count):
             edges.append((v, n))
             n += 1
@@ -275,6 +280,7 @@ def pendant_join_family(t: int) -> tuple[Graph, BipartiteSplit]:
     """
     if t < 1:
         raise ValueError("t must be >= 1")
+    check_vertex_count(8 * t)
     h = designs.hadamard_of_order(4 * t)
     d = designs.complement(designs.hadamard_to_design(h))
     g, split = designs.incidence_graph(d)

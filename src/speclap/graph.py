@@ -13,6 +13,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 __all__ = [
+    "check_vertex_count",
     "Graph",
     "BipartiteSplit",
     "DuplicateClass",
@@ -32,6 +33,13 @@ __all__ = [
 MAX_VERTICES = 64
 
 
+def check_vertex_count(n: int) -> None:
+    """Raise ValueError unless 0 <= n <= MAX_VERTICES.  Constructors call it
+    before allocating anything sized by n."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in [0, {MAX_VERTICES}]")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph; `adj[v]` is the neighbour bitmask of v."""
@@ -40,8 +48,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in [0, {MAX_VERTICES}]")
+        check_vertex_count(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match n")
         full = (1 << self.n) - 1

@@ -1,15 +1,20 @@
 """CLI surface: subcommands, formats, exit codes, pipelining."""
 
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from speclap import nlspec
+from speclap import cli, nlspec
 from speclap.cli import build_parser, main
 from speclap.families import parse_family
 from speclap.graph import from_graph6
@@ -25,6 +30,23 @@ def run(capsys, *argv):
 
 def feed(monkeypatch, text):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+
+
+def fresh(*argv):
+    """Exit code, stdout and stderr of `python -m speclap argv` in a new
+    interpreter, with SPECLAP_TOL unset and runtime warnings as errors."""
+    import speclap
+
+    src = os.path.dirname(os.path.dirname(speclap.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("SPECLAP_TOL", None)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "speclap", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 # -- spectrum / construct -------------------------------------------------
@@ -144,6 +166,59 @@ def test_output_to_file(capsys, tmp_path):
     code, out, _ = run(capsys, "construct", "C4", "-o", str(target))
     assert code == 0 and out == ""
     assert from_graph6(target.read_text().strip()) == parse_family("C4")
+    # an existing file is replaced whole, through a symlink to it
+    link = tmp_path / "link.g6"
+    link.symlink_to(target)
+    code, _, _ = run(capsys, "construct", "K3", "-o", str(link))
+    assert code == 0 and link.is_symlink()
+    assert from_graph6(target.read_text().strip()) == parse_family("K3")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.g6", "out.g6"]
+
+
+def test_output_failures_are_io_errors_leaving_no_temp_file(capsys, tmp_path):
+    (tmp_path / "dir").mkdir()
+    for target in [tmp_path / "missing" / "out.g6", tmp_path / "dir", f"{tmp_path}/new/"]:
+        code, out, err = run(capsys, "construct", "C4", "-o", str(target))
+        assert (code, out) == (3, ""), target
+        assert err.startswith("error: [Errno") and err.rstrip().endswith(f"'{target}'")
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
+def test_output_write_failure_leaves_old_file(capsys, tmp_path, monkeypatch):
+    target = tmp_path / "out.g6"
+    target.write_text("old\n")
+
+    def fail(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", fail)
+    code, _, err = run(capsys, "construct", "C4", "-o", str(target))
+    assert code == 3 and "No space left" in err and str(target) in err
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.g6"]
+
+
+HUGE_TOKENS = [
+    "K99999999",
+    "Kmulti:1,99999999",
+    "C99999999",
+    "P99999999",
+    "U2:99999999",
+    "U4:1,1,99999999",
+    "U6:99999999,1",
+    "thm41:1024",
+    "thm41:9",  # 72 vertices: the first t past the cap
+]
+
+
+@pytest.mark.parametrize("token", HUGE_TOKENS)
+def test_huge_family_token_is_refused_before_building(token, capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "construct", token)
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (2, "")
+    assert "64" in err
 
 
 # -- hadamard / design ----------------------------------------------------
@@ -195,6 +270,27 @@ def test_hadamard_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "hadamard", "--method", "sylvester", "--order", "12")
     assert code == 2
+
+
+def test_hadamard_order_cap(capsys, monkeypatch):
+    # at the cap: built, printed and checked
+    code, out, _ = run(capsys, "hadamard", "--method", "sylvester", "--order", "512")
+    assert code == 0 and len(out.split()) == 512
+    feed(monkeypatch, out)
+    code, checked, _ = run(capsys, "hadamard", "--check")
+    assert (code, json.loads(checked)["order"]) == (0, 512)
+    # one past the cap, for each route in; --check too, as no verdict is given
+    feed(monkeypatch, "\n".join(["+" * 513] * 513))
+    for argv in [
+        ("--method", "sylvester", "--order", "1024"),
+        ("--method", "paley1", "--q", "523"),  # order 524
+        ("--method", "paley2", "--q", "257"),  # order 516
+        ("--method", "paley1", "--q", str(10**18 + 3)),
+        ("--check",),
+    ]:
+        code, out, err = run(capsys, "hadamard", *argv)
+        assert (code, out) == (2, ""), argv
+        assert "exceeds 512" in err, argv
 
 
 def test_design_to_design_example(capsys, monkeypatch):
@@ -360,6 +456,106 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     capsys.readouterr()
 
 
+# -- one parser per process -------------------------------------------------
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    run(capsys, "construct", "C4")  # builds the parser if no call has yet
+
+    def refuse():
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    for argv in [
+        ("spectrum", "P4"),
+        ("construct", "K3", "--format", "json"),
+        ("hadamard", "--method", "sylvester", "--order", "4"),
+        ("verify", "lemma22", "C6"),
+        ("enumerate", "--scan", "connected", "--nmax", "3"),
+    ]:
+        code, _, _ = run(capsys, *argv)
+        assert code == 0, argv
+    monkeypatch.undo()
+    assert build_parser() is not build_parser()
+
+
+def test_no_state_leaks_between_calls(capsys, monkeypatch):
+    code, default, _ = fresh("verify", "three-ev", "C5")
+    assert code == 0 and json.loads(default)["report"]["applicable"] is True
+    code, coarse, _ = run(capsys, "verify", "three-ev", "C5", "--tol", "0.8")
+    assert json.loads(coarse)["report"]["applicable"] is False
+    assert run(capsys, "verify", "three-ev", "C5") == (0, default, "")
+    # SPECLAP_TOL is read on every call, not once
+    monkeypatch.setenv("SPECLAP_TOL", "0.8")
+    assert run(capsys, "verify", "three-ev", "C5") == (0, coarse, "")
+    monkeypatch.delenv("SPECLAP_TOL")
+    assert run(capsys, "verify", "three-ev", "C5") == (0, default, "")
+    # a usage error leaves nothing behind for the next call
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "lemma99", "C4"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "verify", "lemma22", "C6") == fresh("verify", "lemma22", "C6")
+
+
+VALUES = [
+    "K4", "C5", "P4", "U2:1", "Kmulti:2,3", "thm41:1", "@", "C~", "1e-3", "nan",
+    "distinct:3", "distinct-with-one:3",
+]
+LINES = ["++", "+-", "-+", "--", '{"incidence": ["110", "011", "101"]}', "[1]", "C~", "Bw", "@", "DQc"]
+# no "/": every path the property makes up is relative, inside its own
+# temporary directory
+GARBAGE = st.text(st.characters(blacklist_characters="/\x00", blacklist_categories=("Cs",)), max_size=12)
+VALUE = (st.sampled_from(VALUES) | st.integers(-3, 5).map(str) | GARBAGE).filter(
+    lambda tok: not tok.startswith(("-h", "--h"))  # --help exits 0 by design
+)
+
+
+def _arg(action):
+    """Tokens for one argument of a subcommand: a switch alone, or a value
+    (one of its choices or any VALUE) after its flag, if it has one."""
+    if action.nargs == 0:
+        return st.just([action.option_strings[0]])
+    value = VALUE | st.sampled_from(list(action.choices)) if action.choices else VALUE
+    return value.map(lambda v: [*action.option_strings[:1], v])
+
+
+def _command_argv(name, parser):
+    args = [a for a in parser._actions if a.dest != "help"]
+    # the scans' default orders take seconds; start from small ones
+    head = [name, "--nmax", "4", "--n", "4"] if name == "enumerate" else [name]
+    return st.lists(st.sampled_from(args).flatmap(_arg), max_size=4).map(
+        lambda parts: head + [tok for part in parts for tok in part]
+    )
+
+
+SUBCOMMANDS = next(a for a in build_parser()._actions if a.dest == "command").choices
+ARGV = st.one_of(
+    st.lists(VALUE, max_size=4),
+    *(_command_argv(name, parser) for name, parser in SUBCOMMANDS.items()),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=ARGV, lines=st.lists(st.sampled_from(LINES) | GARBAGE, max_size=4))
+def test_garbage_input_never_escapes_as_a_traceback(argv, lines):
+    out, err = io.StringIO(), io.StringIO()
+    old_stdin, old_cwd = sys.stdin, os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        try:
+            sys.stdin = io.StringIO("\n".join(lines))
+            os.chdir(work)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, (argv, lines, err.getvalue())
+        else:
+            assert code in (0, 1, 2, 3), (argv, lines)
+        finally:
+            sys.stdin = old_stdin
+            os.chdir(old_cwd)
+
+
 # -- enumerate ---------------------------------------------------------------
 
 
@@ -476,6 +672,11 @@ def test_module_entry_point_runs_without_warnings():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_package_entry_point_runs_without_warnings():
+    code, out, err = fresh("spectrum", "P4")
+    assert (code, out, err) == (0, "2, 1.5, 0.5, 0\n", "")
 
 
 def test_unreadable_token_is_usage_error(capsys):

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from speclap.designs import (
+    MAX_HADAMARD_ORDER,
     Design,
     FiniteField,
     HadamardMatrix,
+    HadamardOrderError,
     complement,
     design_from_json_dict,
     design_to_json_dict,
@@ -127,6 +129,23 @@ def test_hadamard_of_order_all_small():
         assert hadamard_of_order(m).order == m
     with pytest.raises(ValueError):
         hadamard_of_order(6)
+
+
+def test_hadamard_order_cap():
+    assert MAX_HADAMARD_ORDER == 512
+    assert hadamard_of_order(512).order == 512
+    h256 = sylvester_of_order(256)
+    for build in [
+        lambda: hadamard_of_order(516),
+        lambda: sylvester_of_order(1024),
+        lambda: sylvester(h256, h256),
+        lambda: paley1(FiniteField(523)),  # order 524
+        lambda: paley2(FiniteField(257)),  # order 516
+        lambda: HadamardMatrix.from_text("+\n" * 513),
+        lambda: HadamardMatrix.from_text("+" * 513),
+    ]:
+        with pytest.raises(HadamardOrderError, match="exceeds 512"):
+            build()
 
 
 def test_normalization():

@@ -65,6 +65,11 @@ def test_add_pendants():
         add_pendants(cycle(3), {5: 1})
     # zero pendants is a no-op
     assert add_pendants(cycle(3), {0: 0}) == cycle(3)
+    # the order is checked before any pendant is built
+    assert add_pendants(cycle(3), {0: 61}).n == 64
+    for attach in [{0: 62}, {0: -1, 1: 10**9}]:
+        with pytest.raises(ValueError):
+            add_pendants(cycle(3), attach)
 
 
 def test_unicyclic_orders():
