@@ -31,7 +31,13 @@ import sys
 import numpy as np
 
 from . import designs, families, nlspec, scans
-from .graph import Graph, from_graph6, to_graph6, to_json_dict as graph_to_json_dict
+from .graph import (
+    Graph,
+    VertexCountError,
+    from_graph6,
+    to_graph6,
+    to_json_dict as graph_to_json_dict,
+)
 from .linalg import DEFAULT_CLUSTER_TOL, Spectrum, format_value
 
 
@@ -112,16 +118,21 @@ def _graph_from_token(token: str) -> Graph:
     """Family name first, graph6 as fallback.
 
     Family names win on collision (e.g. "C4" is also decodable graph6);
-    feed raw graph6 through --file or stdin to avoid the ambiguity.
+    feed raw graph6 through --file or stdin to avoid the ambiguity.  A
+    family name too large to build that is not graph6 either gets the
+    family's vertex-count error.
     """
+    over_cap = None
     try:
         return families.parse_family(token)
+    except VertexCountError as exc:
+        over_cap = exc
     except ValueError:
         pass
     try:
         return from_graph6(token)
     except ValueError:
-        raise ValueError(
+        raise over_cap or ValueError(
             f"cannot read {token!r} as a family name or graph6 string"
         ) from None
 
@@ -456,8 +467,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument(
         "--scan", choices=("connected", "unicyclic", "bipartite-pendant"), required=True
     )
-    p_enum.add_argument("--nmax", type=int, default=7, help="largest order for the connected scan")
-    p_enum.add_argument("--n", type=int, default=8, help="order for the bipartite-pendant scan")
+    p_enum.add_argument(
+        "--nmax", type=int, default=7, help="largest order for the connected scan, 1..8"
+    )
+    p_enum.add_argument(
+        "--n", type=int, default=8, help="order for the bipartite-pendant scan, 2..10"
+    )
     p_enum.add_argument("--param-max", type=int, default=6, help="unicyclic parameter bound, 1..20")
     p_enum.add_argument("--predicate", help=f"spectrum predicate: {scans.PREDICATE_GRAMMAR}")
     p_enum.add_argument(

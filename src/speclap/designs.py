@@ -518,6 +518,12 @@ def design_from_json_dict(data: dict) -> Design:
         not isinstance(r, str) or set(r) - {"0", "1"} for r in rows
     ):
         raise ValueError("incidence rows must be strings of 0s and 1s")
+    # every design from a Hadamard matrix within the order cap fits; bound
+    # the matrix and its Gram product before building them
+    if len(rows) > MAX_HADAMARD_ORDER or any(len(r) > MAX_HADAMARD_ORDER for r in rows):
+        raise ValueError(
+            f"incidence matrix exceeds {MAX_HADAMARD_ORDER} rows or columns"
+        )
     c = np.array([[int(ch) for ch in row] for row in rows], dtype=np.int64)
     d = Design.from_incidence(c)
     for key, got in (("v", d.v), ("b", d.b), ("r", d.r), ("k", d.k), ("lambda", d.lam)):

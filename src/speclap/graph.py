@@ -14,6 +14,7 @@ import numpy as np
 
 __all__ = [
     "check_vertex_count",
+    "VertexCountError",
     "Graph",
     "BipartiteSplit",
     "DuplicateClass",
@@ -33,11 +34,15 @@ __all__ = [
 MAX_VERTICES = 64
 
 
+class VertexCountError(ValueError):
+    """A vertex count outside [0, MAX_VERTICES]."""
+
+
 def check_vertex_count(n: int) -> None:
-    """Raise ValueError unless 0 <= n <= MAX_VERTICES.  Constructors call it
-    before allocating anything sized by n."""
+    """Raise VertexCountError unless 0 <= n <= MAX_VERTICES.  Constructors
+    call it before allocating anything sized by n."""
     if not 0 <= n <= MAX_VERTICES:
-        raise ValueError(f"vertex count must be in [0, {MAX_VERTICES}]")
+        raise VertexCountError(f"vertex count must be in [0, {MAX_VERTICES}]")
 
 
 @dataclass(frozen=True)

@@ -5,22 +5,24 @@ Three searches back the package's classification checks with brute force:
 * scan_connected -- every connected graph on up to 8 vertices, one per
   isomorphism class, filtered by a spectrum predicate;
 * scan_bipartite_pendant -- every connected bipartite graph on a fixed
-  n <= 8 with a degree-1 vertex, one per class, filtered for four distinct
+  n <= 10 with a degree-1 vertex, one per class, filtered for four distinct
   L-eigenvalues;
 * scan_unicyclic -- the parametric unicyclic families up to a parameter
   bound, tabulated by distinct-eigenvalue count.
 
 The first two walk isomorphism classes, not labeled graphs.
 `connected_classes` builds them order by order: each class on n - 1
-vertices plus a new vertex joined to each nonempty subset of its vertices,
-deduplicated by `canonical_form` (colour refinement plus a full
-individualization search over bitmask adjacency rows, which also counts
-the automorphisms, so the labeled counts come out as sums of n!/|Aut|).
-The unicyclic family members are pairwise non-isomorphic already.  One
-driver takes all three: it solves each order's graphs in one batched dense
-eigensolve, nominates rows with a vectorized clustered-gap predicate, and
-clusters each nominated row into the hit's spectrum, which must pass the
-predicate too.  Every graph is solved exactly once.
+vertices plus a new vertex joined to one subset of its vertices per orbit
+of the class's automorphism group, deduplicated by canonical code.  The
+code comes from colour refinement plus an individualization search over
+bitmask adjacency rows that prunes with the automorphisms it finds; the
+search also returns |Aut| and generators of Aut, so the labeled counts
+come out as sums of n!/|Aut| and the next order's subsets can be taken one
+per orbit.  The unicyclic family members are pairwise non-isomorphic
+already.  One driver takes all three: it solves each order's graphs in one
+batched dense eigensolve, nominates rows with a vectorized clustered-gap
+predicate, and clusters each nominated row into the hit's spectrum, which
+must pass the predicate too.  Every graph is solved exactly once.
 
 Every tolerance follows the cluster tolerance `tol` (the CLI's --tol): the
 predicate compares values to within `tol`, and a graph with a neighbouring
@@ -185,36 +187,95 @@ def _leaf_code(adj: tuple[int, ...], cells: list[int]) -> int:
     return code
 
 
-def _canonical_search(adj: tuple[int, ...]) -> tuple[int, int]:
-    """Canonical code and automorphism group order of the graph with
-    adjacency rows `adj`.
+def _canonical_search(adj: tuple[int, ...]) -> tuple[int, int, list[tuple[int, ...]]]:
+    """Canonical code, automorphism group order and generators of Aut (each
+    a tuple mapping vertex v to perm[v]) of the graph with adjacency rows
+    `adj`.
 
-    Individualization-refinement without pruning: refine, individualize
-    each vertex of the first non-singleton cell in turn, refine again, and
-    so on down to discrete partitions.  The tree commutes with relabeling,
-    so the largest leaf code is an isomorphism invariant; distinct leaves
-    are distinct labelings, and the leaves reaching that code are one orbit
-    of Aut, so there are |Aut| of them.  At most n! leaves."""
+    Individualization-refinement with automorphism pruning (McKay &
+    Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 60, 2014):
+    refine, individualize each vertex of the first non-singleton cell in
+    turn, refine again, and so on down to discrete partitions.  The tree
+    commutes with relabeling, so the largest leaf code is an isomorphism
+    invariant, and two leaves with equal codes differ by an automorphism.
+    A leaf equal to the first leaf or to the best leaf so far gives one; its
+    cycles are merged into the vertex orbits, and the search jumps back to
+    the node the two leaves share, because the rest of that branch is the
+    automorphism's image of a branch already searched.  On the first path,
+    all automorphisms found so far fix the path's individualized vertices,
+    so a child in the orbit of an explored child is skipped, and when a node
+    is finished its first child's orbit is the whole orbit under that
+    stabilizer.  |Aut| is the product of those orbit sizes down the first
+    path, and the automorphisms found generate Aut."""
     n = len(adj)
-    best, count = -1, 0
-    stack = [_refine(adj, [(1 << n) - 1])]
-    while stack:
-        cells = stack.pop()
+    root = list(range(n))  # union-find over the orbits found so far
+    size = [1] * n
+    gens: list[tuple[int, ...]] = []
+    first: list = []  # [code, path, order] of the first and the best leaf
+    best: list = []
+    aut = 1
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    def shared(path: tuple[int, ...], other: tuple[int, ...]) -> int:
+        depth = 0
+        while path[depth] == other[depth]:
+            depth += 1
+        return depth
+
+    def search(cells: list[int], path: tuple[int, ...], on_first: bool) -> int:
+        """Search below one node; returns the depth of the node to go on at."""
+        nonlocal aut
+        depth = len(path)
         if len(cells) == n:
             code = _leaf_code(adj, cells)
-            if code > best:
-                best, count = code, 1
-            elif code == best:
-                count += 1
-            continue
+            order = [cell.bit_length() - 1 for cell in cells]
+            if not first:
+                first[:] = best[:] = code, path, order
+                return depth - 1
+            match = first if code == first[0] else best if code == best[0] else None
+            if match is None:
+                if code > best[0]:
+                    best[:] = code, path, order
+                return depth - 1
+            perm = [0] * n
+            for u, v in zip(match[2], order):
+                perm[u] = v
+                ru, rv = find(u), find(v)
+                if ru != rv:
+                    if size[ru] < size[rv]:
+                        ru, rv = rv, ru
+                    root[rv] = ru
+                    size[ru] += size[rv]
+            gens.append(tuple(perm))
+            return shared(path, match[1])
         t = next(i for i, cell in enumerate(cells) if cell & (cell - 1))
+        explored: list[int] = []
         rest = cells[t]
         while rest:
             low = rest & -rest
-            child = cells[:t] + [low, cells[t] ^ low] + cells[t + 1 :]
-            stack.append(child if len(child) == n else _refine(adj, child))
             rest ^= low
-    return best, count
+            v = low.bit_length() - 1
+            if on_first and any(find(v) == find(u) for u in explored):
+                continue
+            child = cells[:t] + [low, cells[t] ^ low] + cells[t + 1 :]
+            resume = search(
+                child if len(child) == n else _refine(adj, child),
+                path + (v,),
+                on_first and not explored,
+            )
+            if resume < depth:
+                return resume
+            explored.append(v)
+        if on_first:
+            aut *= size[find(explored[0])]
+        return depth - 1
+
+    search(_refine(adj, [(1 << n) - 1]), (), True)
+    return best[0], aut, gens
 
 
 def canonical_form(g: Graph) -> int:
@@ -223,7 +284,7 @@ def canonical_form(g: Graph) -> int:
     The code is the adjacency bitstring of a canonical relabeling: the
     upper-triangle pairs (0,1), (0,2), ..., (1,2), ... with the first pair
     most significant (`_graph_of_code` decodes it).  Guarded to n <= 8,
-    which bounds the search at 8! leaves.
+    the orders of the connected scan.
     """
     if g.n > 8:
         raise ValueError("canonical_form is limited to n <= 8")
@@ -241,40 +302,80 @@ def _graph_of_code(n: int, code: int) -> Graph:
 
 def connected_classes(n_max: int, bipartite: bool = False) -> dict[int, dict[int, int]]:
     """{n: {canonical code: |Aut|}} over the isomorphism classes of
-    connected graphs (connected bipartite graphs if `bipartite`) on
-    n = 1..n_max <= 8 vertices.
+    connected graphs on n = 1..n_max <= 8 vertices, or of connected
+    bipartite graphs on n = 1..n_max <= 10 vertices if `bipartite`.
 
     Level n is each level n-1 class plus a new vertex joined to a nonempty
     subset of its vertices, deduplicated by canonical code.  That reaches
     every class, because every connected graph has a vertex whose deletion
-    leaves it connected (a leaf of a spanning tree).  With `bipartite`, a
-    subset meeting both sides would close an odd cycle and is skipped; the
-    same vertex deletion leaves a connected bipartite graph, so no class is
-    lost.  This is McKay's vertex augmentation ("Isomorph-free exhaustive
-    generation", J. Algorithms 26, 1998) with dedup by canonical code in
-    place of the canonical-deletion test.
+    leaves it connected (a leaf of a spanning tree).  With `bipartite`, only
+    subsets of one side are joined, since a subset meeting both sides would
+    close an odd cycle; the same vertex deletion leaves a connected
+    bipartite graph, so no class is lost.  Subsets in one orbit of the
+    parent's automorphism group give isomorphic graphs, so only the least
+    subset of each orbit is joined.  This is McKay's vertex augmentation
+    ("Isomorph-free exhaustive generation", J. Algorithms 26, 1998) with
+    dedup by canonical code in place of the canonical-deletion test.
     """
-    if not 1 <= n_max <= 8:
-        raise ValueError("n_max must be in 1..8")
+    cap = 10 if bipartite else 8
+    if not 1 <= n_max <= cap:
+        raise ValueError(f"n_max must be in 1..{cap}")
     levels = {1: {0: 1}}  # K1
     for n in range(2, n_max + 1):
         levels[n] = _extend(n - 1, levels[n - 1], bipartite)
     return levels
 
 
+def _submasks(mask: int) -> list[int]:
+    """The nonempty subsets of a bitmask."""
+    out = []
+    sub = mask
+    while sub:
+        out.append(sub)
+        sub = (sub - 1) & mask
+    return out
+
+
+def _orbit_minima(subsets, gens: list[tuple[int, ...]]):
+    """The least subset of each orbit of the group generated by `gens` on a
+    set of vertex subsets closed under it, in the order of `subsets`, which
+    must be ascending."""
+    seen: set[int] = set()
+    for subset in subsets:
+        if subset in seen:
+            continue
+        yield subset
+        seen.add(subset)
+        stack = [subset]
+        while stack:
+            s = stack.pop()
+            for perm in gens:
+                image = 0
+                for v, w in enumerate(perm):
+                    if s >> v & 1:
+                        image |= 1 << w
+                if image not in seen:
+                    seen.add(image)
+                    stack.append(image)
+
+
 def _extend(m: int, level: dict, bipartite: bool) -> dict:
+    """The classes on m + 1 vertices reached from the classes in `level`;
+    insertion order is that of the least (parent, subset) reaching each."""
     new_bit = 1 << m
     out: dict[int, int] = {}
     for code in level:
         g = _graph_of_code(m, code)
-        side = bipartite_split(g).part1 if bipartite else 0
-        for subset in range(1, new_bit):
-            if bipartite and subset & side and subset & ~side:
-                continue
+        if bipartite:
+            split = bipartite_split(g)
+            subsets = sorted(_submasks(split.part1) + _submasks(split.part2))
+        else:
+            subsets = range(1, new_bit)
+        for subset in _orbit_minima(subsets, _canonical_search(g.adj)[2]):
             adj = tuple(
                 row | new_bit if subset >> v & 1 else row for v, row in enumerate(g.adj)
             ) + (subset,)
-            canonical, aut = _canonical_search(adj)
+            canonical, aut, _ = _canonical_search(adj)
             out.setdefault(canonical, aut)
     return out
 
@@ -504,11 +605,11 @@ def scan_bipartite_pendant(
     n: int = 8,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> ScanReport:
-    """Test every connected bipartite graph on exactly n <= 8 vertices that
+    """Test every connected bipartite graph on exactly n <= 10 vertices that
     has a vertex of degree 1, one per isomorphism class, for four distinct
     L-eigenvalues."""
-    if not 2 <= n <= 8:
-        raise ValueError("n must be in 2..8")
+    if not 2 <= n <= 10:
+        raise ValueError("n must be in 2..10")
     predicate = SpectrumPredicate(kind="distinct", k=4)
     level = connected_classes(n, bipartite=True)[n]
     pendant = [

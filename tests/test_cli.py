@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from speclap import cli, nlspec
+from speclap import cli, designs, nlspec
 from speclap.cli import build_parser, main
 from speclap.families import parse_family
 from speclap.graph import from_graph6
@@ -214,11 +214,19 @@ HUGE_TOKENS = [
 
 @pytest.mark.parametrize("token", HUGE_TOKENS)
 def test_huge_family_token_is_refused_before_building(token, capsys):
-    start = time.perf_counter()
-    code, out, err = run(capsys, "construct", token)
-    assert time.perf_counter() - start < 5.0
-    assert (code, out) == (2, "")
-    assert "64" in err
+    # every command that reads a graph token names the cap
+    for argv in (("construct", token), ("spectrum", token), ("verify", "lemma22", token)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (2, ""), argv
+        assert "vertex count must be in [0, 64]" in err, argv
+
+
+def test_graph_tokens_decode_as_family_then_graph6():
+    assert cli._graph_from_token("P4") == parse_family("P4")
+    g6 = "E?Bw"  # a graph6 string that is no family name
+    assert cli._graph_from_token(g6) == from_graph6(g6)
 
 
 # -- hadamard / design ----------------------------------------------------
@@ -347,6 +355,30 @@ def test_design_validate_bad_json(capsys, monkeypatch):
             feed(monkeypatch, text)
             code, _, err = run(capsys, "design", action)
             assert code == 2 and err.startswith("error:"), (text, action)
+
+
+def test_design_json_size_is_capped(capsys, monkeypatch):
+    """An incidence matrix over MAX_HADAMARD_ORDER rows or columns is refused
+    before the matrix is built: invalid for --validate, a usage error for
+    the other actions.  512 rows pass the cap."""
+    cap = designs.MAX_HADAMARD_ORDER
+    over = [["1" * 3] * (cap + 1), ["1" * (cap + 1)] * 3]
+    for rows in over:
+        text = json.dumps({"incidence": rows})
+        feed(monkeypatch, text)
+        code, out, _ = run(capsys, "design", "--validate")
+        assert code == 1
+        assert json.loads(out) == {
+            "valid": False,
+            "error": f"incidence matrix exceeds {cap} rows or columns",
+        }
+        for action in ("--complement", "--incidence-graph"):
+            feed(monkeypatch, text)
+            code, _, err = run(capsys, "design", action)
+            assert code == 2 and "exceeds" in err, action
+    feed(monkeypatch, json.dumps({"incidence": ["1" * 3] * cap}))
+    code, out, _ = run(capsys, "design", "--validate")
+    assert code == 0 and json.loads(out)["v"] == cap
 
 
 def test_design_requires_exactly_one_action(capsys, monkeypatch):
@@ -680,8 +712,9 @@ def test_package_entry_point_runs_without_warnings():
 
 
 def test_unreadable_token_is_usage_error(capsys):
-    code, _, err = run(capsys, "spectrum", "ZZZ:9")
-    assert code == 2 and "family name or graph6" in err
+    for token in ("ZZZ:9", "X65"):
+        code, _, err = run(capsys, "spectrum", token)
+        assert code == 2 and "family name or graph6" in err
 
 
 def test_missing_file_is_io_error(capsys):

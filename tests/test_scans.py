@@ -1,5 +1,8 @@
 """Exhaustive scans: predicates, canonical forms, class generation, survivor sets."""
 
+import itertools
+import math
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -37,7 +40,7 @@ from speclap.scans import (
 # bipartite graphs up to isomorphism)
 A001187 = [None, 1, 1, 4, 38, 728, 26704, 1866256, 251548592]
 A001349 = [None, 1, 1, 2, 6, 21, 112, 853, 11117]
-A005142 = [None, 1, 1, 1, 3, 5, 17, 44, 182]
+A005142 = [None, 1, 1, 1, 3, 5, 17, 44, 182, 730]
 
 
 def test_parse_predicate_forms():
@@ -112,8 +115,8 @@ def _nx_to_graph(h):
 
 def test_class_generator_matches_graph_atlas():
     """The connected graphs of networkx's atlas (every graph on <= 7
-    vertices) give the generated classes, and for n <= 6 the automorphism
-    counts agree with networkx's matcher."""
+    vertices) give the generated classes, and their automorphism counts
+    agree with networkx's matcher."""
     classes = connected_classes(7)
     atlas: dict = {n: {} for n in classes}
     for h in nx.graph_atlas_g():
@@ -122,15 +125,101 @@ def test_class_generator_matches_graph_atlas():
             atlas[n][canonical_form(_nx_to_graph(h))] = h
     for n, level in classes.items():
         assert set(atlas[n]) == set(level), n
-        if n <= 6:
-            for code, h in atlas[n].items():
-                matcher = nx.algorithms.isomorphism.GraphMatcher(h, h)
-                assert level[code] == sum(1 for _ in matcher.isomorphisms_iter())
+        for code, h in atlas[n].items():
+            matcher = nx.algorithms.isomorphism.GraphMatcher(h, h)
+            assert level[code] == sum(1 for _ in matcher.isomorphisms_iter()), (n, code)
+
+
+def _is_automorphism(g, perm):
+    return sorted(perm) == list(range(g.n)) and all(
+        g.adj[perm[u]] >> perm[v] & 1 for u, v in g.edges()
+    )
+
+
+@pytest.mark.parametrize(
+    "g, order",
+    [
+        (complete_bipartite(1, 9), 362880),  # 9!
+        (complete_bipartite(5, 5), 2 * 120**2),  # 2 * 5!^2
+        (cycle(10), 20),  # dihedral
+        (_nx_to_graph(nx.petersen_graph()), 120),  # S5
+    ],
+)
+def test_automorphism_group_orders_of_known_graphs(g, order):
+    _, aut, gens = scans._canonical_search(g.adj)
+    assert aut == order
+    assert all(_is_automorphism(g, perm) for perm in gens)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_symmetric_graphs_visit_at_most_n_leaves(n, monkeypatch):
+    """Automorphism pruning keeps the search on K_n, the empty graph,
+    K_{1,n-1} and K_{n/2,n/2} to at most n leaves (unpruned, each visits
+    |Aut| of them: n! for K_n).  A count of leaves, not a timing; the
+    count fails the test as soon as it passes n."""
+    leaves = []
+    real = scans._leaf_code
+
+    def counting(adj, cells):
+        leaves.append(cells)
+        assert len(leaves) <= n, "more than n leaves"
+        return real(adj, cells)
+
+    monkeypatch.setattr(scans, "_leaf_code", counting)
+    fact = math.factorial
+    graphs = [
+        (complete(n), fact(n)),
+        (from_edge_list(n, []), fact(n)),
+        (complete_bipartite(1, n - 1), fact(n - 1) * (2 if n == 2 else 1)),
+    ]
+    if n % 2 == 0:
+        graphs.append((complete_bipartite(n // 2, n // 2), 2 * fact(n // 2) ** 2))
+    for g, order in graphs:
+        leaves.clear()
+        _, aut, _ = scans._canonical_search(g.adj)
+        assert aut == order
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_augmentation_takes_one_subset_per_orbit(m, monkeypatch):
+    """Extending K_m canonicalizes one subset per size (S_m's orbits on
+    subsets), K_{1,m} one per size within each side; each extension also
+    runs one search on the parent for its automorphisms."""
+    clique = list(itertools.combinations(range(m), 2))
+    want = {
+        canonical_form(from_edge_list(m + 1, clique + [(i, m) for i in range(k)]))
+        for k in range(1, m + 1)
+    }
+    k_m = {canonical_form(complete(m)): math.factorial(m)}
+    star = {canonical_form(complete_bipartite(1, m)): math.factorial(m)}
+    searches = []
+    real = scans._canonical_search
+
+    def counting(adj):
+        searches.append(adj)
+        return real(adj)
+
+    monkeypatch.setattr(scans, "_canonical_search", counting)
+    assert set(scans._extend(m, k_m, False)) == want
+    assert len(searches) == 1 + m
+    searches.clear()
+    scans._extend(m + 1, star, True)
+    assert len(searches) == 1 + (1 + m if m > 1 else 1)  # K_{1,1} swaps its sides
 
 
 def test_bipartite_class_counts_match_oeis():
-    classes = connected_classes(8, bipartite=True)
-    assert [len(classes[n]) for n in range(1, 9)] == A005142[1:]
+    classes = connected_classes(9, bipartite=True)
+    assert [len(classes[n]) for n in range(1, 10)] == A005142[1:]
+
+
+def test_class_generation_order_caps():
+    """Bipartite classes go up to 10 vertices, all connected classes up to 8."""
+    for n_max, bipartite in ((0, True), (11, True), (0, False), (9, False)):
+        with pytest.raises(ValueError):
+            connected_classes(n_max, bipartite=bipartite)
+    for n in (1, 11):
+        with pytest.raises(ValueError):
+            scan_bipartite_pendant(n)
 
 
 def test_scan_connected_counts_match_oracle():
@@ -222,6 +311,14 @@ def test_scan_bipartite_pendant_small_orders():
     assert rep4.hits[0].canonical == canonical_form(path(4))
     rep6 = scan_bipartite_pendant(n=6)
     assert rep6.hits == ()
+
+
+def test_scan_bipartite_pendant_n9_has_no_survivors():
+    """The paper's survivors are P4 and the thm41 graphs on 8t vertices, so
+    none has 9 vertices."""
+    report = scan_bipartite_pendant(n=9)
+    assert report.counts["9"]["scanned"] == A005142[9]
+    assert report.hits == ()
 
 
 def test_scan_report_rejects_duplicate_canonicals():
