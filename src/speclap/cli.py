@@ -33,7 +33,6 @@ import numpy as np
 from . import designs, families, nlspec, scans
 from .graph import (
     Graph,
-    VertexCountError,
     from_graph6,
     to_graph6,
     to_json_dict as graph_to_json_dict,
@@ -119,20 +118,21 @@ def _graph_from_token(token: str) -> Graph:
 
     Family names win on collision (e.g. "C4" is also decodable graph6);
     feed raw graph6 through --file or stdin to avoid the ambiguity.  A
-    family name too large to build that is not graph6 either gets the
-    family's vertex-count error.
+    token of a family's form that the family cannot build (bad parameters,
+    over the vertex cap) and that is not graph6 either gets the family's
+    own error.
     """
-    over_cap = None
+    family_error = None
     try:
         return families.parse_family(token)
-    except VertexCountError as exc:
-        over_cap = exc
-    except ValueError:
+    except families.UnknownFamilyError:
         pass
+    except ValueError as exc:
+        family_error = exc
     try:
         return from_graph6(token)
     except ValueError:
-        raise over_cap or ValueError(
+        raise family_error or ValueError(
             f"cannot read {token!r} as a family name or graph6 string"
         ) from None
 

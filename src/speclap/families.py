@@ -40,6 +40,7 @@ __all__ = [
     "u4_symmetric_factors",
     "u4_symmetric_spectrum",
     "parse_family",
+    "UnknownFamilyError",
     "FAMILY_GRAMMAR",
 ]
 
@@ -378,8 +379,14 @@ U<k>[:<params>]      unicyclic family U1..U14, e.g. U4:1,2,1
 thm41:<t>            degree-one bipartite family on 8t vertices, e.g. thm41:2"""
 
 
+class UnknownFamilyError(ValueError):
+    """A token of none of FAMILY_GRAMMAR's forms."""
+
+
 def parse_family(token: str) -> Graph:
-    """Parse a family token (see FAMILY_GRAMMAR) into a graph."""
+    """Parse a family token (see FAMILY_GRAMMAR) into a graph.  A token of
+    no known form raises UnknownFamilyError; one of a known form that the
+    family cannot build raises that family's ValueError."""
     token = token.strip()
     m = re.fullmatch(r"[Kk](\d+)", token)
     if m:
@@ -400,4 +407,4 @@ def parse_family(token: str) -> Graph:
     m = re.fullmatch(r"thm41:(\d+)", token)
     if m:
         return pendant_join_family(int(m.group(1)))[0]
-    raise ValueError(f"cannot parse family token {token!r}; known forms:\n{FAMILY_GRAMMAR}")
+    raise UnknownFamilyError(f"cannot parse family token {token!r}; known forms:\n{FAMILY_GRAMMAR}")

@@ -223,6 +223,24 @@ def test_huge_family_token_is_refused_before_building(token, capsys):
         assert "vertex count must be in [0, 64]" in err, argv
 
 
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("U4:1", "U4 takes 3 parameter(s), got 1"),
+        ("thm41:0", "t must be >= 1"),
+        ("U99", "unknown unicyclic family 'U99'"),
+        ("Kmulti:0,3", "part sizes must be positive"),
+        ("zzz", "cannot read 'zzz' as a family name or graph6 string"),
+    ],
+)
+def test_family_token_errors_name_the_family_fault(token, message, capsys):
+    """A token of a family's form that the family cannot build gets the
+    family's own error; a token of no family's form gets the generic one."""
+    for argv in (("spectrum", token), ("verify", "lemma22", token)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
 def test_graph_tokens_decode_as_family_then_graph6():
     assert cli._graph_from_token("P4") == parse_family("P4")
     g6 = "E?Bw"  # a graph6 string that is no family name

@@ -1,5 +1,6 @@
 """Exhaustive scans: predicates, canonical forms, class generation, survivor sets."""
 
+import hashlib
 import itertools
 import math
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import speclap.scans as scans
-from speclap import linalg, nlspec
+from speclap import cli, linalg, nlspec
 from speclap.families import (
     complete,
     complete_bipartite,
@@ -220,6 +221,117 @@ def test_class_generation_order_caps():
     for n in (1, 11):
         with pytest.raises(ValueError):
             scan_bipartite_pendant(n)
+
+
+def _full_key_refine(adj, cells):
+    """Reference colour refinement: each round keys every vertex by its
+    neighbour counts in every cell of the partition."""
+    while True:
+        out = []
+        for cell in cells:
+            groups: dict = {}
+            for v in range(len(adj)):
+                if cell >> v & 1:
+                    key = tuple((adj[v] & w).bit_count() for w in cells)
+                    groups[key] = groups.get(key, 0) | 1 << v
+            out.extend(groups[k] for k in sorted(groups))
+        if len(out) == len(cells):
+            return out
+        cells = out
+
+
+def _children(cells):
+    """(child partition, individualized vertex mask) for every vertex of
+    every non-singleton cell."""
+    for t, cell in enumerate(cells):
+        if cell & (cell - 1):
+            for v in range(cell.bit_length()):
+                low = 1 << v
+                if cell & low:
+                    yield cells[:t] + [low, cell ^ low] + cells[t + 1 :], low
+
+
+def test_refinement_against_splitters_matches_full_keys():
+    """Refining the root against the vertex set, and a child only against
+    its individualized vertex and then the cells that split, gives the
+    partition, in the same cell order, that keying on every cell gives.
+    Vertex-transitive and regular graphs are searched two levels deep."""
+    rng = np.random.default_rng(29)
+    graphs = [_nx_to_graph(h) for h in (nx.petersen_graph(), nx.hypercube_graph(3))]
+    graphs += [cycle(10), complete_bipartite(5, 5), complete_bipartite(3, 4)]
+    graphs += [_nx_to_graph(nx.random_regular_graph(3, 10, seed=s)) for s in range(5)]
+    deep = len(graphs)
+    for _ in range(300):
+        n = int(rng.integers(1, 11))
+        upper = np.triu(rng.random((n, n)) < rng.random(), 1)
+        graphs.append(from_edge_list(n, [(int(u), int(v)) for u, v in zip(*np.nonzero(upper))]))
+    compared = 0
+    for i, g in enumerate(graphs):
+        everything = (1 << g.n) - 1
+        root = scans._refine(g.adj, [everything], [everything])
+        assert root == _full_key_refine(g.adj, [everything])
+        for child, low in _children(root):
+            refined = scans._refine(g.adj, child, [low])
+            assert refined == _full_key_refine(g.adj, child), (to_graph6(g), child)
+            compared += 1
+            for grandchild, low2 in _children(refined) if i < deep else ():
+                want = _full_key_refine(g.adj, grandchild)
+                assert scans._refine(g.adj, grandchild, [low2]) == want
+                compared += 1
+    assert compared > 1000
+
+
+def _digest(classes):
+    text = "".join(
+        f"{n} {code} {aut}\n" for n, level in classes.items() for code, aut in level.items()
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "n_max, bipartite, digest",
+    [
+        (7, False, "d1e683b85caba5daae2665b19df195841d702b06efe432dfa8dbf9a985edac53"),
+        (9, True, "0596678476da316807842b05c8dc9fd88374b1c40f91e3cd65156a5ce3357179"),
+    ],
+    ids=["connected-7", "bipartite-9"],
+)
+def test_class_codes_and_order_are_pinned(n_max, bipartite, digest):
+    """Canonical codes appear in scan reports: the ordered (n, code, |Aut|)
+    sequence of these levels must not drift."""
+    assert _digest(connected_classes(n_max, bipartite=bipartite)) == digest
+
+
+def test_class_levels_are_built_once_per_process(monkeypatch):
+    connected_classes(7)
+    searches = []
+    real = scans._canonical_search
+
+    def counting(adj):
+        searches.append(adj)
+        return real(adj)
+
+    monkeypatch.setattr(scans, "_canonical_search", counting)
+    assert len(connected_classes(7)[7]) == A001349[7]
+    assert searches == []
+
+
+def test_changing_returned_levels_leaves_the_table_alone():
+    classes = connected_classes(6)
+    want = {n: list(level.items()) for n, level in classes.items()}
+    classes[6].clear()
+    classes[5][12345] = 1
+    del classes[4]
+    assert {n: list(level.items()) for n, level in connected_classes(6).items()} == want
+
+
+def test_cold_and_warm_enumerate_print_the_same_json(capsys):
+    argv = ["enumerate", "--scan", "connected", "--nmax", "6"]
+    scans._level.cache_clear()
+    assert cli.main(argv) == 0
+    cold = capsys.readouterr().out
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == cold and '"hits"' in cold
 
 
 def test_scan_connected_counts_match_oracle():
