@@ -18,7 +18,14 @@ import re
 from dataclasses import dataclass
 
 from . import designs
-from .graph import BipartiteSplit, Graph, bipartite_split, check_vertex_count, from_edge_list
+from .graph import (
+    MAX_VERTICES,
+    BipartiteSplit,
+    Graph,
+    bipartite_split,
+    check_vertex_count,
+    from_edge_list,
+)
 from .linalg import PredictedSpectrum, quadratic_roots
 
 __all__ = [
@@ -383,6 +390,17 @@ class UnknownFamilyError(ValueError):
     """A token of none of FAMILY_GRAMMAR's forms."""
 
 
+def _count(digits: str) -> int:
+    """A vertex or pendant count of a family token.  A count with more
+    digits than MAX_VERTICES is over the cap whatever its value, so it reads
+    as 10**len(str(MAX_VERTICES)), also over the cap: the family refuses it
+    with the errors, in the order, that the true value would get, and int()
+    never reads a string of thousands of digits."""
+    width = len(str(MAX_VERTICES))
+    digits = digits.lstrip("0") or "0"
+    return 10**width if len(digits) > width else int(digits)
+
+
 def parse_family(token: str) -> Graph:
     """Parse a family token (see FAMILY_GRAMMAR) into a graph.  A token of
     no known form raises UnknownFamilyError; one of a known form that the
@@ -390,21 +408,21 @@ def parse_family(token: str) -> Graph:
     token = token.strip()
     m = re.fullmatch(r"[Kk](\d+)", token)
     if m:
-        return complete(int(m.group(1)))
+        return complete(_count(m.group(1)))
     m = re.fullmatch(r"[Kk]multi:(\d+(?:,\d+)*)", token)
     if m:
-        return complete_multipartite(tuple(int(x) for x in m.group(1).split(",")))
+        return complete_multipartite(tuple(_count(x) for x in m.group(1).split(",")))
     m = re.fullmatch(r"[Cc](\d+)", token)
     if m:
-        return cycle(int(m.group(1)))
+        return cycle(_count(m.group(1)))
     m = re.fullmatch(r"[Pp](\d+)", token)
     if m:
-        return path(int(m.group(1)))
+        return path(_count(m.group(1)))
     m = re.fullmatch(r"[Uu](\d+)(?::(\d+(?:,\d+)*))?", token)
     if m:
-        params = tuple(int(x) for x in m.group(2).split(",")) if m.group(2) else ()
+        params = tuple(_count(x) for x in m.group(2).split(",")) if m.group(2) else ()
         return unicyclic(f"U{m.group(1)}", params)
     m = re.fullmatch(r"thm41:(\d+)", token)
     if m:
-        return pendant_join_family(int(m.group(1)))[0]
+        return pendant_join_family(_count(m.group(1)))[0]
     raise UnknownFamilyError(f"cannot parse family token {token!r}; known forms:\n{FAMILY_GRAMMAR}")

@@ -13,21 +13,20 @@ Three searches back the package's classification checks with brute force:
 The first two walk isomorphism classes, not labeled graphs.
 `connected_classes` builds them order by order: each class on n - 1
 vertices plus a new vertex joined to one subset of its vertices per orbit
-of the class's automorphism group, deduplicated by canonical code.  Each
-order is built once per process and kept, at most 18 orders and about
-17,000 classes under the order caps.  The code comes from colour refinement
-plus an individualization search over bitmask adjacency rows that prunes
-with the automorphisms it finds.  The refinement counts neighbours only in
-the cells that changed (the individualized vertex, then all but the last
-part of each cell that split), which splits the same cells in the same
-order as counting them in every cell.  The search also returns |Aut| and
-generators of Aut, so the labeled counts come out as sums of n!/|Aut| and
-the next order's subsets can be taken one per orbit.  The unicyclic family
-members are pairwise non-isomorphic already.  One driver takes all three:
-it solves each order's graphs in one batched dense eigensolve, nominates
-rows with a vectorized clustered-gap predicate, and clusters each nominated
-row into the hit's spectrum, which must pass the predicate too.  Every
-graph is solved exactly once.
+of the class's automorphism group, deduplicated by canonical code.  The
+code comes from colour refinement plus an individualization search over
+bitmask adjacency rows that prunes with the automorphisms it finds.  The
+refinement counts neighbours only in the cells that changed (the
+individualized vertex, then all but the last part of each cell that
+split), which splits the same cells in the same order as counting them in
+every cell.  The search also returns |Aut| and generators of Aut, so the
+labeled counts come out as sums of n!/|Aut| and the next order's subsets
+can be taken one per orbit.  The unicyclic family members are pairwise
+non-isomorphic already.  One driver takes all three: it solves each
+order's graphs in one batched dense eigensolve, nominates rows with a
+vectorized clustered-gap predicate, and clusters each nominated row into
+the hit's spectrum, which must pass the predicate too.  Every graph is
+solved exactly once.
 
 Every tolerance follows the cluster tolerance `tol` (the CLI's --tol): the
 predicate compares values to within `tol`, and a graph with a neighbouring
@@ -38,7 +37,6 @@ logged as borderline.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -157,54 +155,35 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
     """Colour refinement of an ordered partition (cells are vertex bitmasks).
 
     Each round splits every cell by the number of neighbours its vertices
-    have in each splitter, sub-cells ordered by those counts (by the first
-    splitter's, then the second's, ...), until no cell splits.  The caller
-    passes the cells that keep the partition from being equitable: the
-    vertex set at the root, the individualized vertex at a child node.
-    After a round the splitters are every part of each cell that split
-    except its last.  That gives the same partition, in the same order, as
-    counting neighbours in every cell: the vertices of a cell have equal
-    counts in each cell that did not split and equal totals over the parts
-    of each cell that did, so the first count two of them differ in belongs
-    to a splitter.  Splits depend on cell positions only, never on vertex
-    labels, so relabeling the graph relabels the result.
-
-    The counts are bit-sliced: `slices` holds, for each splitter, the
-    binary digits of every vertex's count as vertex masks, most significant
-    first, so a cell splits by masking with one digit after another."""
+    have in each splitter, sub-cells ordered by those counts, until no cell
+    splits.  The caller passes the cells that keep the partition from being
+    equitable: the vertex set at the root, the individualized vertex at a
+    child node.  After a round the splitters are every part of each cell
+    that split except its last, in cell order.  That gives the same
+    partition, in the same order, as counting neighbours in every cell: the
+    vertices of a cell have equal counts in each cell that did not split and
+    equal totals over the parts of each cell that did, so the first count
+    two of them differ in belongs to a splitter.  Splits depend on cell
+    positions only, never on vertex labels, so relabeling the graph
+    relabels the result."""
     while splitters:
-        slices = []
-        for w in splitters:
-            if w & (w - 1) == 0:  # one vertex: the counts are its row's bits
-                slices.append(adj[w.bit_length() - 1])
-                continue
-            digits: list[int] = []  # least significant first
-            while w:
-                low = w & -w
-                w ^= low
-                carry = adj[low.bit_length() - 1]
-                for j, digit in enumerate(digits):
-                    digits[j] = digit ^ carry
-                    carry &= digit
-                    if not carry:
-                        break
-                else:
-                    digits.append(carry)
-            slices.extend(reversed(digits))
         out = []
         split = []
         for cell in cells:
-            if cell & (cell - 1):
-                parts = [cell]
-                for digit in slices:
-                    ones = cell & digit
-                    if ones and ones != cell:
-                        parts = [q for p in parts for q in (p & ~digit, p & digit) if q]
-                if len(parts) > 1:
-                    out += parts
-                    split += parts[:-1]
-                    continue
-            out.append(cell)
+            if cell & (cell - 1) == 0:
+                out.append(cell)
+                continue
+            groups: dict[tuple[int, ...], int] = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                row = adj[low.bit_length() - 1]
+                key = tuple((row & w).bit_count() for w in splitters)
+                groups[key] = groups.get(key, 0) | low
+                rest ^= low
+            parts = [groups[k] for k in sorted(groups)]
+            out += parts
+            split += parts[:-1]
         cells, splitters = out, split
     return cells
 
@@ -352,24 +331,14 @@ def connected_classes(n_max: int, bipartite: bool = False) -> dict[int, dict[int
     subset of each orbit is joined.  This is McKay's vertex augmentation
     ("Isomorph-free exhaustive generation", J. Algorithms 26, 1998) with
     dedup by canonical code in place of the canonical-deletion test.
-
-    Each level is built once per process and kept (`_level`); the caps bound
-    that table to 18 levels and about 17,000 classes.  The dicts returned
-    are copies, so a caller that changes them leaves the table as it was.
     """
     cap = 10 if bipartite else 8
     if not 1 <= n_max <= cap:
         raise ValueError(f"n_max must be in 1..{cap}")
-    return {n: dict(_level(n, bipartite)) for n in range(1, n_max + 1)}
-
-
-@functools.lru_cache(maxsize=None)
-def _level(n: int, bipartite: bool) -> dict[int, int]:
-    """Level n of `connected_classes`, built on first use from level n - 1.
-    Callers must not change the dict it returns."""
-    if n == 1:
-        return {0: 1}  # K1
-    return _extend(n - 1, _level(n - 1, bipartite), bipartite)
+    levels = {1: {0: 1}}  # K1
+    for n in range(2, n_max + 1):
+        levels[n] = _extend(n - 1, levels[n - 1], bipartite)
+    return levels
 
 
 def _submasks(mask: int) -> list[int]:

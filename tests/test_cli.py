@@ -209,6 +209,10 @@ HUGE_TOKENS = [
     "U6:99999999,1",
     "thm41:1024",
     "thm41:9",  # 72 vertices: the first t past the cap
+    # more digits than int() reads by default
+    pytest.param("K" + "9" * 5000, id="K-5000-digits"),
+    pytest.param("U4:1,1," + "9" * 5000, id="U4-5000-digits"),
+    pytest.param("C" + "0" * 5000 + "65", id="C-5000-zeros"),
 ]
 
 

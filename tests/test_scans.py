@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import speclap.scans as scans
-from speclap import cli, linalg, nlspec
+from speclap import linalg, nlspec
 from speclap.families import (
     complete,
     complete_bipartite,
@@ -300,38 +300,6 @@ def test_class_codes_and_order_are_pinned(n_max, bipartite, digest):
     """Canonical codes appear in scan reports: the ordered (n, code, |Aut|)
     sequence of these levels must not drift."""
     assert _digest(connected_classes(n_max, bipartite=bipartite)) == digest
-
-
-def test_class_levels_are_built_once_per_process(monkeypatch):
-    connected_classes(7)
-    searches = []
-    real = scans._canonical_search
-
-    def counting(adj):
-        searches.append(adj)
-        return real(adj)
-
-    monkeypatch.setattr(scans, "_canonical_search", counting)
-    assert len(connected_classes(7)[7]) == A001349[7]
-    assert searches == []
-
-
-def test_changing_returned_levels_leaves_the_table_alone():
-    classes = connected_classes(6)
-    want = {n: list(level.items()) for n, level in classes.items()}
-    classes[6].clear()
-    classes[5][12345] = 1
-    del classes[4]
-    assert {n: list(level.items()) for n, level in connected_classes(6).items()} == want
-
-
-def test_cold_and_warm_enumerate_print_the_same_json(capsys):
-    argv = ["enumerate", "--scan", "connected", "--nmax", "6"]
-    scans._level.cache_clear()
-    assert cli.main(argv) == 0
-    cold = capsys.readouterr().out
-    assert cli.main(argv) == 0
-    assert capsys.readouterr().out == cold and '"hits"' in cold
 
 
 def test_scan_connected_counts_match_oracle():
