@@ -155,35 +155,54 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
     """Colour refinement of an ordered partition (cells are vertex bitmasks).
 
     Each round splits every cell by the number of neighbours its vertices
-    have in each splitter, sub-cells ordered by those counts, until no cell
-    splits.  The caller passes the cells that keep the partition from being
-    equitable: the vertex set at the root, the individualized vertex at a
-    child node.  After a round the splitters are every part of each cell
-    that split except its last, in cell order.  That gives the same
-    partition, in the same order, as counting neighbours in every cell: the
-    vertices of a cell have equal counts in each cell that did not split and
-    equal totals over the parts of each cell that did, so the first count
-    two of them differ in belongs to a splitter.  Splits depend on cell
-    positions only, never on vertex labels, so relabeling the graph
-    relabels the result."""
+    have in each splitter, sub-cells ordered by those counts (by the first
+    splitter's, then the second's, ...), until no cell splits.  The caller
+    passes the cells that keep the partition from being equitable: the
+    vertex set at the root, the individualized vertex at a child node.
+    After a round the splitters are every part of each cell that split
+    except its last.  That gives the same partition, in the same order, as
+    counting neighbours in every cell: the vertices of a cell have equal
+    counts in each cell that did not split and equal totals over the parts
+    of each cell that did, so the first count two of them differ in belongs
+    to a splitter.  Splits depend on cell positions only, never on vertex
+    labels, so relabeling the graph relabels the result.
+
+    The counts are bit-sliced: `slices` holds, for each splitter, the
+    binary digits of every vertex's count as vertex masks, most significant
+    first, so a cell splits by masking with one digit after another."""
     while splitters:
+        slices = []
+        for w in splitters:
+            if w & (w - 1) == 0:  # one vertex: the counts are its row's bits
+                slices.append(adj[w.bit_length() - 1])
+                continue
+            digits: list[int] = []  # least significant first
+            while w:
+                low = w & -w
+                w ^= low
+                carry = adj[low.bit_length() - 1]
+                for j, digit in enumerate(digits):
+                    digits[j] = digit ^ carry
+                    carry &= digit
+                    if not carry:
+                        break
+                else:
+                    digits.append(carry)
+            slices.extend(reversed(digits))
         out = []
         split = []
         for cell in cells:
-            if cell & (cell - 1) == 0:
-                out.append(cell)
-                continue
-            groups: dict[tuple[int, ...], int] = {}
-            rest = cell
-            while rest:
-                low = rest & -rest
-                row = adj[low.bit_length() - 1]
-                key = tuple((row & w).bit_count() for w in splitters)
-                groups[key] = groups.get(key, 0) | low
-                rest ^= low
-            parts = [groups[k] for k in sorted(groups)]
-            out += parts
-            split += parts[:-1]
+            if cell & (cell - 1):
+                parts = [cell]
+                for digit in slices:
+                    ones = cell & digit
+                    if ones and ones != cell:
+                        parts = [q for p in parts for q in (p & ~digit, p & digit) if q]
+                if len(parts) > 1:
+                    out += parts
+                    split += parts[:-1]
+                    continue
+            out.append(cell)
         cells, splitters = out, split
     return cells
 
