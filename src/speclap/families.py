@@ -392,10 +392,10 @@ class UnknownFamilyError(ValueError):
 
 def _count(digits: str) -> int:
     """A vertex or pendant count of a family token.  A count with more
-    digits than MAX_VERTICES is over the cap whatever its value, so it reads
-    as 10**len(str(MAX_VERTICES)), also over the cap: the family refuses it
-    with the errors, in the order, that the true value would get, and int()
-    never reads a string of thousands of digits."""
+    significant digits than MAX_VERTICES is over the cap whatever its value,
+    so it reads as 10**len(str(MAX_VERTICES)), also over the cap: the family
+    refuses it with the errors, in the order, that the true value would get,
+    and int() never reads a string of thousands of digits."""
     width = len(str(MAX_VERTICES))
     digits = digits.lstrip("0") or "0"
     return 10**width if len(digits) > width else int(digits)
