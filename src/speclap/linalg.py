@@ -3,10 +3,10 @@
 The eigensolver is a Jacobi iteration in the round-robin order of Brent and
 Luk: each round rotates away the off-diagonal mass of n/2 disjoint (p, q)
 planes in one matrix product, until the largest off-diagonal entry drops
-below DEFAULT_JACOBI_TOL.  Its eigenvector matrix is orthogonal by
-construction.  Its callers are all in `nlspec`: the one L solve of
-`SpectralContext.eigen`, `adjacency_spectrum` and the Gram-matrix solve of
-the bipartite factorization.  The exhaustive scans do not use it; they take
+below DEFAULT_JACOBI_TOL, and returns the eigenvalues only.  Its callers are
+all in `nlspec`: the one L solve of `SpectralContext.values`,
+`adjacency_spectrum` and the Gram-matrix solve of the bipartite
+factorization.  The exhaustive scans do not use it; they take
 their spectra from one batched `numpy.linalg.eigvalsh` call per order.
 
 Spectra are stored clustered: a sorted run of eigenvalues is merged into
@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "JacobiConvergenceError",
-    "EigenDecomposition",
     "Spectrum",
     "PredictedSpectrum",
     "as_symmetric",
@@ -75,36 +74,27 @@ def as_symmetric(m: "np.ndarray | Sequence", name: str = "matrix") -> np.ndarray
     return a
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues (descending) with matching orthonormal eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def jacobi_eigen(m: "np.ndarray | Sequence") -> EigenDecomposition:
-    """Diagonalize a symmetric matrix by round-robin Jacobi rotations.
+def jacobi_eigen(m: "np.ndarray | Sequence") -> np.ndarray:
+    """Eigenvalues of a symmetric matrix by round-robin Jacobi rotations.
 
     A sweep visits every (p, q) plane once, in the n - 1 rounds of the
     parallel ordering of Brent & Luk (SIAM J. Sci. Stat. Comput. 6, 1985).
     A round's planes are disjoint, so its rotations commute and are applied
     as one orthogonal matrix.  Sweeps stop once every off-diagonal entry is
     <= DEFAULT_JACOBI_TOL in absolute value; more than _MAX_SWEEPS sweeps
-    raise JacobiConvergenceError.  Returns the eigenvalues, descending, and
-    the accumulated rotation matrix, whose columns are their eigenvectors.
+    raise JacobiConvergenceError.  Returns the eigenvalues as a descending
+    1-D array.
     """
     a0 = as_symmetric(m)
     n = a0.shape[0]
     if n < 2:
-        return EigenDecomposition(values=np.diag(a0).copy(), vectors=np.eye(n))
+        return np.diag(a0).copy()
 
     # an odd order gets one dummy index; its row and column stay exactly
     # zero, so none of its planes is ever rotated, and it is sliced off below
     size = n + n % 2
     a = np.zeros((size, size))
     a[:n, :n] = a0
-    v = np.eye(size)
     # rotations smaller than this are skipped inside a sweep; anything the
     # sweep skips is already far below the stopping threshold
     skip = DEFAULT_JACOBI_TOL * 1e-2
@@ -132,12 +122,10 @@ def jacobi_eigen(m: "np.ndarray | Sequence") -> EigenDecomposition:
             a = j.T @ a @ j
             a = (a + a.T) * 0.5
             a[p, q] = a[q, p] = np.where(live, 0.0, apq)
-            v = v @ j
         sweeps += 1
 
     values = np.diag(a)[:n]
-    order = np.argsort(values)[::-1]
-    return EigenDecomposition(values=values[order], vectors=v[:n, order])
+    return values[np.argsort(values)[::-1]]
 
 
 @functools.lru_cache(maxsize=32)
@@ -197,9 +185,6 @@ class Spectrum:
     def expand(self) -> np.ndarray:
         """Full eigenvalue list (descending, with multiplicity)."""
         return np.repeat([v for v, _ in self.pairs], [m for _, m in self.pairs])
-
-    def round_to(self, ndigits: int) -> tuple[tuple[float, int], ...]:
-        return tuple((round(v, ndigits), m) for v, m in self.pairs)
 
     def as_dict(self) -> dict:
         return {

@@ -29,8 +29,8 @@ it.  `SUITES` maps each graph-input suite name to a function of one context;
 Check functions never hide failures: every numeric claim lands in a
 CheckResult with its residual, and violated *mathematical* preconditions are
 reported as non-applicable results rather than raised, so batch runs can
-flag them.  Misuse (disconnected input where connectivity is structural,
-mismatched eigenvalue arguments) raises ValueError.
+flag them.  Misuse (disconnected input where connectivity is structural)
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .graph import (
 )
 from .linalg import (
     DEFAULT_CLUSTER_TOL,
-    EigenDecomposition,
     PredictedSpectrum,
     Spectrum,
     cluster_spectrum,
@@ -67,7 +66,6 @@ __all__ = [
     "LaplacianBundle",
     "SpectralContext",
     "SUITES",
-    "EigenTriple",
     "BipartiteFactorization",
     "Classification",
     "CheckResult",
@@ -75,7 +73,6 @@ __all__ = [
     "build",
     "l_spectrum",
     "adjacency_spectrum",
-    "triple_from_spectrum",
     "check_spectrum_fundamentals",
     "check_eigenvalue_product",
     "check_three_ev_identities",
@@ -94,16 +91,13 @@ __all__ = [
     "IDENTITY_TOL",
     "FUNDAMENTAL_TOL",
     "EIGENVECTOR_TOL",
-    "PAPER_PRECISION_TOL",
 ]
 
 # Tolerance ladder.  Identity checks run at 1e-6, the fundamental-property
-# suite at 1e-7, signed-indicator eigenvector residuals at 1e-12, and values
-# quoted to four decimals are matched at 5e-4.
+# suite at 1e-7 and signed-indicator eigenvector residuals at 1e-12.
 IDENTITY_TOL = 1e-6
 FUNDAMENTAL_TOL = 1e-7
 EIGENVECTOR_TOL = 1e-12
-PAPER_PRECISION_TOL = 5e-4
 
 _ZERO_TOL = 1e-8  # how close the smallest cluster must sit to 0
 _BRANCH_TOL = 1e-9  # deciding beta == 1 vs beta < 1
@@ -115,26 +109,23 @@ _BRANCH_TOL = 1e-9  # deciding beta == 1 vs beta < 1
 
 @dataclass(frozen=True)
 class LaplacianBundle:
-    """Adjacency / degree / normalized-Laplacian matrices of one graph.
+    """Degree vector and normalized Laplacian of one graph.
 
-    A is the 0/1 adjacency matrix, D the degree vector (the diagonal of the
-    degree matrix), Astar = D^{-1/2} A D^{-1/2} with isolated vertices
-    contributing zero rows, and L = diag(d > 0) - Astar, i.e. the diagonal
-    entry is 1 at vertices of positive degree and 0 at isolated ones.
+    D is the degree vector (the diagonal of the degree matrix) and
+    L = diag(d > 0) - D^{-1/2} A D^{-1/2}, with isolated vertices
+    contributing zero rows to the second term, i.e. the diagonal entry is 1
+    at vertices of positive degree and 0 at isolated ones.
     """
 
-    graph: Graph
-    A: np.ndarray
     D: np.ndarray
     L: np.ndarray
-    Astar: np.ndarray
 
 
 def build(g: Graph) -> LaplacianBundle:
     """Assemble the normalized Laplacian of g.
 
-    Astar is formed as A * outer(s, s) with s_v = 1/sqrt(d_v) (0 for
-    isolated v), which keeps it bitwise symmetric in floating point.
+    D^{-1/2} A D^{-1/2} is formed as A * outer(s, s) with s_v = 1/sqrt(d_v)
+    (0 for isolated v), which keeps it bitwise symmetric in floating point.
     """
     A = g.adjacency_matrix()
     d = g.degrees().astype(float)
@@ -143,7 +134,7 @@ def build(g: Graph) -> LaplacianBundle:
     s[nz] = 1.0 / np.sqrt(d[nz])
     Astar = A * np.outer(s, s)
     L = np.diag(nz.astype(float)) - Astar
-    return LaplacianBundle(graph=g, A=A, D=d, L=L, Astar=Astar)
+    return LaplacianBundle(D=d, L=L)
 
 
 def l_spectrum(g: Graph, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
@@ -153,13 +144,13 @@ def l_spectrum(g: Graph, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
 
 def adjacency_spectrum(g: Graph, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
     """Clustered adjacency-matrix spectrum of g."""
-    return cluster_spectrum(jacobi_eigen(g.adjacency_matrix()).values, cluster_tol)
+    return cluster_spectrum(jacobi_eigen(g.adjacency_matrix()), cluster_tol)
 
 
 @dataclass
 class SpectralContext:
     """One graph, its cluster tolerance, and the spectral data the checks
-    read: the LaplacianBundle, the eigen-decomposition of L and its clustered
+    read: the LaplacianBundle, the eigenvalues of L and its clustered
     spectrum.  Each is computed on first use and then kept, so the checks run
     on one context share a single assembly and a single solve of L."""
 
@@ -171,13 +162,13 @@ class SpectralContext:
         return build(self.graph)
 
     @functools.cached_property
-    def eigen(self) -> EigenDecomposition:
-        """Eigen-decomposition of L, values descending."""
+    def values(self) -> np.ndarray:
+        """Eigenvalues of L, descending."""
         return jacobi_eigen(self.bundle.L)
 
     @functools.cached_property
     def spectrum(self) -> Spectrum:
-        return cluster_spectrum(self.eigen.values, self.cluster_tol)
+        return cluster_spectrum(self.values, self.cluster_tol)
 
 
 def _context(g: "Graph | SpectralContext") -> SpectralContext:
@@ -291,73 +282,6 @@ def _suite(name: str, connected: bool = False, distinct: int | None = None):
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue triples
-
-
-@dataclass(frozen=True)
-class EigenTriple:
-    """The distinct nonzero eigenvalues of a 3- or 4-eigenvalue graph.
-
-    alpha > beta (> gamma when present) > 0 and alpha <= 2, with a little
-    slack so values straight from the eigensolver or rounded to four
-    decimals are accepted.
-    """
-
-    alpha: float
-    beta: float
-    gamma: float | None = None
-
-    def __post_init__(self):
-        small = self.beta if self.gamma is None else self.gamma
-        if not small > 0:
-            raise ValueError("eigenvalues must be positive")
-        if self.gamma is not None and not self.beta > self.gamma:
-            raise ValueError("need beta > gamma")
-        if not self.alpha > self.beta:
-            raise ValueError("need alpha > beta")
-        if self.alpha > 2 + 1e-6:
-            raise ValueError("alpha cannot exceed 2")
-
-    def as_tuple(self) -> tuple[float, ...]:
-        if self.gamma is None:
-            return (self.alpha, self.beta)
-        return (self.alpha, self.beta, self.gamma)
-
-
-def triple_from_spectrum(spec: Spectrum) -> EigenTriple:
-    """Extract (alpha, beta[, gamma]) from a clustered spectrum with 3 or 4
-    distinct values whose smallest is 0."""
-    if spec.distinct_count not in (3, 4):
-        raise ValueError(
-            f"need 3 or 4 distinct eigenvalues, got {spec.distinct_count}"
-        )
-    if abs(spec.values[-1]) > _ZERO_TOL:
-        raise ValueError("smallest eigenvalue cluster is not 0")
-    nz = spec.values[:-1]
-    if len(nz) == 2:
-        return EigenTriple(alpha=nz[0], beta=nz[1])
-    return EigenTriple(alpha=nz[0], beta=nz[1], gamma=nz[2])
-
-
-def _validate_triple(
-    t: EigenTriple | None, spec: Spectrum, match_tol: float
-) -> EigenTriple:
-    """Use the supplied triple after checking it against the computed
-    spectrum, or derive one from the spectrum."""
-    derived = triple_from_spectrum(spec)
-    if t is None:
-        return derived
-    if len(t.as_tuple()) != len(derived.as_tuple()):
-        raise ValueError("eigenvalue triple has the wrong number of entries")
-    dev = max(abs(a - b) for a, b in zip(t.as_tuple(), derived.as_tuple()))
-    if dev > match_tol:
-        raise ValueError(
-            f"supplied eigenvalues deviate from the computed spectrum by {dev:.3g}"
-        )
-    return t
-
-
-# ---------------------------------------------------------------------------
 # fundamental spectrum properties
 
 
@@ -383,7 +307,7 @@ def check_spectrum_fundamentals(
     n = g.n
     if n < 2:
         raise ValueError("fundamental checks need at least 2 vertices")
-    vals = ctx.eigen.values  # descending
+    vals = ctx.values  # descending
     iso = int(np.sum(g.degrees() == 0))
     comps = components(g)
     complete = g.m == n * (n - 1) // 2
@@ -455,7 +379,7 @@ def check_spectrum_fundamentals(
 
     # a connected graph is its own only component: reuse its solve
     parts = [vals] if len(comps) == 1 else [
-        SpectralContext(induced_subgraph(g, c)).eigen.values for c in comps
+        SpectralContext(induced_subgraph(g, c)).values for c in comps
     ]
     union = np.sort(np.concatenate(parts))[::-1]
     union_dev = float(np.max(np.abs(union - vals)))
@@ -510,7 +434,6 @@ def check_spectrum_fundamentals(
 @_suite("eq1", connected=True)
 def check_eigenvalue_product(
     ctx: SpectralContext,
-    spec: "Spectrum | Sequence[float] | None" = None,
     tol: float = IDENTITY_TOL,
 ) -> CheckReport:
     """Product identity over distinct nonzero eigenvalues, suite "eq1".
@@ -520,25 +443,20 @@ def check_eigenvalue_product(
         prod_i (L - lambda_i I)
             = (-1)^{s-1} (prod_i lambda_i) sqrt(d) sqrt(d)^T / (2m).
 
-    `spec` may be a clustered Spectrum (its zero cluster is dropped) or the
-    bare sequence of distinct nonzero values; by default the spectrum is
-    computed.  Passing perturbed values makes the residual blow up, which is
-    the converse direction of the identity.  A graph without edges (K1) has
-    no 2m to divide by and gets a precondition report.
+    The lambda_i are the nonzero clusters of the context's spectrum; a
+    spectrum with wrong values makes the residual blow up, which is the
+    converse direction of the identity.  A smallest cluster away from 0 (a
+    cluster tolerance too wide to separate it) raises ValueError.  A graph
+    without edges (K1) has no 2m to divide by and gets a precondition
+    report.
     """
     g = ctx.graph
     if g.m == 0:
         return _precondition_report("eq1", "needs at least one edge")
-    if spec is None:
-        spec = ctx.spectrum
-    if isinstance(spec, Spectrum):
-        if abs(spec.values[-1]) > _ZERO_TOL:
-            raise ValueError("spectrum must include the zero eigenvalue cluster")
-        nonzero = list(spec.values[:-1])
-    else:
-        nonzero = [float(v) for v in spec]
-        if not nonzero or any(v <= 0 for v in nonzero):
-            raise ValueError("need the distinct nonzero eigenvalues")
+    spec = ctx.spectrum
+    if abs(spec.values[-1]) > _ZERO_TOL:
+        raise ValueError("spectrum must include the zero eigenvalue cluster")
+    nonzero = list(spec.values[:-1])
     s = len(nonzero) + 1
     bundle = ctx.bundle
     n = g.n
@@ -573,9 +491,7 @@ def _inverse_degree_sum(d: np.ndarray, verts: Sequence[int]) -> float:
 @_suite("three-ev", connected=True, distinct=3)
 def check_three_ev_identities(
     ctx: SpectralContext,
-    t: EigenTriple | None = None,
     tol: float = IDENTITY_TOL,
-    match_tol: float = PAPER_PRECISION_TOL,
 ) -> CheckReport:
     """Entrywise degree identities for spectra {alpha, beta, 0}, suite
     "three-ev".
@@ -591,14 +507,9 @@ def check_three_ev_identities(
 
         S(u,v) = (alpha beta / 2m) d_u d_v - (alpha + beta - 2)   (u ~ v)
         S(u,v) = (alpha beta / 2m) d_u d_v                        (u !~ v)
-
-    A supplied triple is validated against the computed spectrum within
-    `match_tol` (ValueError on mismatch) and then used as-is, so
-    four-decimal inputs surface their own rounding residuals.
     """
     g = ctx.graph
-    trip = _validate_triple(t, ctx.spectrum, match_tol)
-    alpha, beta = trip.alpha, trip.beta
+    alpha, beta = ctx.spectrum.values[:-1]
 
     bundle = ctx.bundle
     n, m = g.n, g.m
@@ -666,7 +577,6 @@ def check_three_ev_identities(
 @_suite("lemma24", connected=True, distinct=3)
 def check_three_ev_degree_bounds(
     ctx: SpectralContext,
-    t: EigenTriple | None = None,
     tol: float = IDENTITY_TOL,
 ) -> CheckReport:
     """Degree constraints on non-adjacent pairs for spectra {alpha, beta, 0},
@@ -677,8 +587,7 @@ def check_three_ev_degree_bounds(
     gap obeys |d_u - d_v| <= -2m (alpha-1)(beta-1) / (alpha beta).
     """
     g = ctx.graph
-    trip = _validate_triple(t, ctx.spectrum, PAPER_PRECISION_TOL)
-    alpha, beta = trip.alpha, trip.beta
+    alpha, beta = ctx.spectrum.values[:-1]
     results = [
         CheckResult(
             check="beta-at-most-one",
@@ -733,9 +642,7 @@ def check_three_ev_degree_bounds(
 @_suite("four-ev", connected=True, distinct=4)
 def check_four_ev_diagonal(
     ctx: SpectralContext,
-    t: EigenTriple | None = None,
     tol: float = IDENTITY_TOL,
-    match_tol: float = PAPER_PRECISION_TOL,
 ) -> CheckReport:
     """Per-vertex diagonal identity for spectra {alpha, beta, gamma, 0},
     suite "four-ev".
@@ -751,8 +658,7 @@ def check_four_ev_diagonal(
     contributes twice.
     """
     g = ctx.graph
-    trip = _validate_triple(t, ctx.spectrum, match_tol)
-    alpha, beta, gamma = trip.alpha, trip.beta, trip.gamma
+    alpha, beta, gamma = ctx.spectrum.values[:-1]
     d = ctx.bundle.D
     m = g.m
     coef = alpha * beta * gamma / (2 * m)
@@ -789,9 +695,7 @@ def check_four_ev_diagonal(
 @_suite("four-ev", connected=True)
 def check_bipartite_four_ev(
     ctx: SpectralContext,
-    alpha: float | None = None,
     tol: float = IDENTITY_TOL,
-    match_tol: float = PAPER_PRECISION_TOL,
 ) -> CheckReport:
     """Refined identities for connected bipartite graphs with spectrum
     {2, 2-alpha, alpha, 0}, 0 < alpha < 1; suite "four-ev".
@@ -800,8 +704,7 @@ def check_bipartite_four_ev(
     Per same-side pair u != v:
                   sum_{w in N(u) cap N(v)} 1/d_w = (alpha(2-alpha)/m) d_u d_v
 
-    (note the denominator m, not 2m).  A supplied alpha is validated against
-    the computed spectrum within `match_tol`.
+    (note the denominator m, not 2m).
     """
     g = ctx.graph
     split = bipartite_split(g)
@@ -824,12 +727,7 @@ def check_bipartite_four_ev(
                 "values": list(spec.values),
             },
         )
-    if alpha is None:
-        alpha = float(spec.values[2])
-    elif abs(alpha - spec.values[2]) > match_tol:
-        raise ValueError(
-            f"alpha={alpha} deviates from the computed value {spec.values[2]:.10g}"
-        )
+    alpha = float(spec.values[2])
 
     d = ctx.bundle.D
     m = g.m
@@ -914,7 +812,7 @@ def check_duplicate_classes(ctx: SpectralContext, tol: float = EIGENVECTOR_TOL) 
     if not classes:
         return _precondition_report("lemma23", "no duplicate classes in the graph")
     bundle = ctx.bundle
-    vals = ctx.eigen.values
+    vals = ctx.values
     results = []
     for idx, cls in enumerate(classes):
         worst = 0.0
@@ -1095,7 +993,7 @@ def check_second_least_one(ctx: SpectralContext, tol: float = IDENTITY_TOL) -> C
         raise ValueError("criterion needs at least 2 vertices")
     if g.m == g.n * (g.n - 1) // 2:
         return _precondition_report("cor20", "complete graphs are excluded")
-    vals = ctx.eigen.values
+    vals = ctx.values
     second_least = float(vals[-2])
     parts = is_complete_multipartite(g)
     at_one = abs(second_least - 1.0) <= tol
@@ -1203,7 +1101,7 @@ def bipartite_factorization(g: Graph) -> BipartiteFactorization:
     B = A[np.ix_(side1, side2)]
     Bstar = B / np.sqrt(np.outer(d[side1], d[side2]))
     gram = Bstar @ Bstar.T
-    xi = jacobi_eigen((gram + gram.T) / 2.0).values
+    xi = jacobi_eigen((gram + gram.T) / 2.0)
     return BipartiteFactorization(
         split=split,
         B=B,
@@ -1219,6 +1117,8 @@ def check_bipartite_factorization(ctx: SpectralContext, tol: float = 1e-8) -> Ch
     """Compare the factorized eigenvalues against the direct L-spectrum,
     suite "bipartite-factorization"."""
     g = ctx.graph
+    if g.n == 0:
+        return _precondition_report("bipartite-factorization", "graph has no vertices")
     if bipartite_split(g) is None:
         return _precondition_report("bipartite-factorization", "graph is not bipartite")
     if np.any(g.degrees() == 0):
@@ -1227,7 +1127,7 @@ def check_bipartite_factorization(ctx: SpectralContext, tol: float = 1e-8) -> Ch
         )
     fact = bipartite_factorization(g)
     predicted = fact.predicted_values()
-    direct = ctx.eigen.values
+    direct = ctx.values
     dev = float(np.max(np.abs(predicted - direct)))
     return CheckReport(
         suite="bipartite-factorization",

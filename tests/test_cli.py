@@ -452,7 +452,11 @@ def test_verify_each_suite_on_fitting_graph(capsys):
 
 
 def test_verify_inapplicable_is_success(capsys):
-    for suite, token in [("lemma24", "P5"), ("bipartite-factorization", "C5")]:
+    for suite, token in [
+        ("lemma24", "P5"),
+        ("bipartite-factorization", "C5"),
+        ("bipartite-factorization", "?"),  # the empty graph
+    ]:
         code, out, _ = run(capsys, "verify", suite, token)
         assert code == 0, suite
         assert json.loads(out)["report"]["applicable"] is False, suite

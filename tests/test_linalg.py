@@ -44,22 +44,10 @@ def test_jacobi_matches_lapack():
         mats += [build(kn).L, kn.adjacency_matrix().astype(float)]
     mats.append(np.zeros((6, 6)))
     for a in mats:
-        dec = jacobi_eigen(a)
-        expected = np.linalg.eigvalsh(a)
-        assert np.allclose(np.sort(dec.values), expected, atol=1e-10)
-        assert np.all(np.diff(dec.values) <= 0)  # descending
-
-
-def test_jacobi_eigenvectors_satisfy_equation():
-    rng = np.random.default_rng(11)
-    for n in (9, 63):  # 63: the odd order runs padded with a dummy index
-        a = random_symmetric(n, rng)
-        dec = jacobi_eigen(a)
-        for i in range(n):
-            v = dec.vectors[:, i]
-            assert np.linalg.norm(a @ v - dec.values[i] * v) < 1e-10
-        # orthonormal basis
-        assert np.allclose(dec.vectors.T @ dec.vectors, np.eye(n), atol=1e-12)
+        vals = jacobi_eigen(a)
+        assert vals.shape == (len(a),)
+        assert np.allclose(np.sort(vals), np.linalg.eigvalsh(a), atol=1e-10)
+        assert np.all(np.diff(vals) <= 0)  # descending
 
 
 def test_jacobi_raises_when_sweeps_run_out(monkeypatch):
@@ -77,8 +65,7 @@ def test_jacobi_converges_on_incidence_graph_within_20_sweeps(monkeypatch):
     guard bounds sweeps, not time."""
     monkeypatch.setattr(linalg, "_MAX_SWEEPS", 20)
     for a in sylvester32_incidence():
-        dec = jacobi_eigen(a)
-        assert np.allclose(np.sort(dec.values), np.linalg.eigvalsh(a), atol=1e-10)
+        assert np.allclose(np.sort(jacobi_eigen(a)), np.linalg.eigvalsh(a), atol=1e-10)
 
 
 @settings(deadline=None, max_examples=50)
@@ -89,15 +76,12 @@ def test_jacobi_matches_lapack_on_random_01_matrices(data):
     a = np.zeros((n, n))
     a[np.triu_indices(n)] = bits
     a += np.triu(a, 1).T
-    dec = jacobi_eigen(a)
-    assert np.allclose(np.sort(dec.values), np.linalg.eigvalsh(a), rtol=0, atol=1e-10)
-    assert np.allclose(dec.vectors.T @ dec.vectors, np.eye(n), rtol=0, atol=1e-12)
+    assert np.allclose(np.sort(jacobi_eigen(a)), np.linalg.eigvalsh(a), rtol=0, atol=1e-10)
 
 
 def test_jacobi_diagonal_is_exact():
     d = np.diag([3.0, -1.0, 0.5])
-    dec = jacobi_eigen(d)
-    assert sorted(dec.values) == [-1.0, 0.5, 3.0]
+    assert list(jacobi_eigen(d)) == [3.0, 0.5, -1.0]
 
 
 def test_jacobi_rejects_asymmetric():

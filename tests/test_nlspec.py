@@ -17,7 +17,6 @@ from speclap.graph import Graph, duplicate_classes, from_edge_list
 from speclap.linalg import cluster_spectrum
 from speclap.nlspec import (
     SUITES,
-    EigenTriple,
     SpectralContext,
     adjacency_spectrum,
     bipartite_factorization,
@@ -37,7 +36,6 @@ from speclap.nlspec import (
     classify_three_with_one,
     duplicate_class_eigenvector,
     l_spectrum,
-    triple_from_spectrum,
 )
 
 
@@ -80,6 +78,9 @@ def test_l_spectrum_known_values():
     for n in [3, 4, 5, 6, 8]:
         computed = np.sort(l_spectrum(cycle(n)).expand())
         assert np.allclose(computed, np.sort(cycle_l_values(n)), atol=1e-10)
+    alpha, beta, _ = l_spectrum(cycle(5)).values
+    assert alpha == pytest.approx(1.80902, abs=1e-4)
+    assert beta == pytest.approx(0.69098, abs=1e-4)
 
 
 def test_adjacency_spectrum():
@@ -163,15 +164,25 @@ def test_eigenvalue_product_rejects_disconnected():
 
 
 def test_eigenvalue_product_detects_wrong_values():
-    g = cycle(5)
-    report = check_eigenvalue_product(g, spec=[1.9, 0.7])
+    ctx = SpectralContext(cycle(5))
+    ctx.spectrum = cluster_spectrum([1.9, 1.9, 0.7, 0.7, 0.0])
+    report = check_eigenvalue_product(ctx)
+    assert report.result("product-identity").witness["nonzero_values"] == [1.9, 0.7]
     assert not report.passed
 
 
 def test_eigenvalue_product_accepts_explicit_spectrum():
     g = complete(5)
-    report = check_eigenvalue_product(g, spec=l_spectrum(g))
-    assert report.passed
+    ctx = SpectralContext(g)
+    ctx.spectrum = l_spectrum(g)
+    assert check_eigenvalue_product(ctx).passed
+
+
+def test_eigenvalue_product_rejects_nonzero_smallest_cluster():
+    # at cluster tolerance 0.5 the zero eigenvalue of P5 merges with its
+    # neighbours, so no cluster sits at 0
+    with pytest.raises(ValueError, match="zero eigenvalue cluster"):
+        check_eigenvalue_product(SpectralContext(path(5), 0.5))
 
 
 # -- three-eigenvalue identities -----------------------------------------
@@ -205,24 +216,6 @@ def test_three_ev_identities_pass(g):
 def test_three_ev_not_applicable():
     report = check_three_ev_identities(path(4))
     assert not report.applicable
-
-
-def test_three_ev_explicit_triple_mismatch():
-    with pytest.raises(ValueError):
-        check_three_ev_identities(cycle(5), t=EigenTriple(1.9, 0.5))
-
-
-def test_eigen_triple_validation():
-    with pytest.raises(ValueError):
-        EigenTriple(0.5, 1.5)  # not descending
-    with pytest.raises(ValueError):
-        EigenTriple(2.5, 1.0)  # above 2
-    with pytest.raises(ValueError):
-        EigenTriple(1.5, 1.0, 1.2)  # gamma out of order
-    t = triple_from_spectrum(l_spectrum(cycle(5)))
-    assert t.alpha == pytest.approx(1.80902, abs=1e-4)
-    assert t.beta == pytest.approx(0.69098, abs=1e-4)
-    assert t.gamma is None
 
 
 # -- degree bounds (lemma24) ---------------------------------------------
@@ -272,15 +265,11 @@ def test_bipartite_four_ev():
         assert report.applicable and report.passed, g
         assert report.result("bipartite-vertex-identity").passed
         assert report.result("bipartite-same-side-pairs").passed
+    # P4 has spectrum {2, 1.5, 0.5, 0}
+    alpha = check_bipartite_four_ev(path(4)).result("bipartite-vertex-identity").witness["alpha"]
+    assert alpha == pytest.approx(0.5, abs=1e-12)
     # non-bipartite four-distinct graph: precondition only
     assert not check_bipartite_four_ev(unicyclic("U2", (1,))).applicable
-
-
-def test_bipartite_four_ev_alpha_override():
-    report = check_bipartite_four_ev(path(4), alpha=0.5)
-    assert report.passed
-    with pytest.raises(ValueError):
-        check_bipartite_four_ev(path(4), alpha=0.9)
 
 
 # -- duplicate classes (lemma23) -----------------------------------------
