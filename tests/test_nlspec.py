@@ -78,9 +78,6 @@ def test_l_spectrum_known_values():
     for n in [3, 4, 5, 6, 8]:
         computed = np.sort(l_spectrum(cycle(n)).expand())
         assert np.allclose(computed, np.sort(cycle_l_values(n)), atol=1e-10)
-    alpha, beta, _ = l_spectrum(cycle(5)).values
-    assert alpha == pytest.approx(1.80902, abs=1e-4)
-    assert beta == pytest.approx(0.69098, abs=1e-4)
 
 
 def test_adjacency_spectrum():
@@ -218,6 +215,15 @@ def test_three_ev_not_applicable():
     assert not report.applicable
 
 
+def test_eigen_triple_validation():
+    # alpha and beta of a three-distinct spectrum are its values above 0
+    values = l_spectrum(cycle(5)).values
+    assert len(values) == 3 and values[-1] == pytest.approx(0.0, abs=1e-12)
+    alpha, beta = values[:-1]
+    assert alpha == pytest.approx(1.80902, abs=1e-4)
+    assert beta == pytest.approx(0.69098, abs=1e-4)
+
+
 # -- degree bounds (lemma24) ---------------------------------------------
 
 
@@ -265,11 +271,20 @@ def test_bipartite_four_ev():
         assert report.applicable and report.passed, g
         assert report.result("bipartite-vertex-identity").passed
         assert report.result("bipartite-same-side-pairs").passed
-    # P4 has spectrum {2, 1.5, 0.5, 0}
-    alpha = check_bipartite_four_ev(path(4)).result("bipartite-vertex-identity").witness["alpha"]
-    assert alpha == pytest.approx(0.5, abs=1e-12)
     # non-bipartite four-distinct graph: precondition only
     assert not check_bipartite_four_ev(unicyclic("U2", (1,))).applicable
+
+
+def test_bipartite_four_ev_alpha_override():
+    # P4 has spectrum {2, 1.5, 0.5, 0}
+    report = check_bipartite_four_ev(path(4))
+    assert report.passed
+    assert report.result("bipartite-vertex-identity").witness["alpha"] == pytest.approx(0.5, abs=1e-12)
+    # a context seeded with the wrong alpha fails the identities
+    ctx = SpectralContext(path(4))
+    ctx.spectrum = cluster_spectrum([2.0, 1.1, 0.9, 0.0])
+    report = check_bipartite_four_ev(ctx)
+    assert report.applicable and not report.passed
 
 
 # -- duplicate classes (lemma23) -----------------------------------------
