@@ -6,8 +6,7 @@ q mod 4), a normalized Hadamard matrix of order 4t yields a symmetric
 2-(4t-1, 2t-1, t-1) design, and design incidence structures yield bipartite
 graphs whose adjacency spectra have a closed form.
 
-All Hadamard and design validation is exact integer arithmetic; floats only
-appear in the predicted spectra.
+All Hadamard and design validation is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import BipartiteSplit, Graph
-from .linalg import PredictedSpectrum
 
 __all__ = [
     "FiniteField",
@@ -36,7 +34,6 @@ __all__ = [
     "Design",
     "complement",
     "incidence_graph",
-    "predicted_incidence_adjacency_spectrum",
     "design_to_json_dict",
     "design_from_json_dict",
 ]
@@ -482,21 +479,6 @@ def incidence_graph(d: Design) -> tuple[Graph, BipartiteSplit]:
     g = Graph(v + b, tuple(rows))
     split = BipartiteSplit(part1=(1 << v) - 1, part2=((1 << b) - 1) << v)
     return g, split
-
-
-def predicted_incidence_adjacency_spectrum(d: Design) -> PredictedSpectrum:
-    """Closed-form adjacency spectrum of the incidence graph:
-    +/- sqrt(rk) simple, +/- sqrt(r - lam) with multiplicity v-1 each,
-    and 0 with multiplicity b - v.  Coincident values merge."""
-    top = float(np.sqrt(d.r * d.k))
-    mid = float(np.sqrt(d.r - d.lam))
-    raw = [(top, 1), (mid, d.v - 1), (0.0, d.b - d.v), (-mid, d.v - 1), (-top, 1)]
-    merged: dict[float, int] = {}
-    for val, mult in raw:
-        if mult > 0:
-            merged[val] = merged.get(val, 0) + mult
-    pairs = tuple(sorted(merged.items(), reverse=True))
-    return PredictedSpectrum(pairs=pairs)
 
 
 def design_to_json_dict(d: Design) -> dict:

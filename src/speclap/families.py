@@ -26,7 +26,7 @@ from .graph import (
     check_vertex_count,
     from_edge_list,
 )
-from .linalg import PredictedSpectrum, quadratic_roots
+from .linalg import PredictedSpectrum
 
 __all__ = [
     "complete",
@@ -45,7 +45,6 @@ __all__ = [
     "predicted_complete_bipartite_spectrum",
     "predicted_regular_multipartite_spectrum",
     "u4_symmetric_factors",
-    "u4_symmetric_spectrum",
     "parse_family",
     "UnknownFamilyError",
     "FAMILY_GRAMMAR",
@@ -359,22 +358,6 @@ def u4_symmetric_factors(a: int) -> tuple[tuple[int, int], tuple[int, int, int],
     if a < 1:
         raise ValueError("a must be >= 1")
     return ((a + 2, -2 * (a + 1)), (a + 2, -(2 * a + 5), 3), 3 * a - 3, 1)
-
-
-def u4_symmetric_spectrum(a: int) -> PredictedSpectrum:
-    """Exact L-spectrum of U4(a, a, a), assembled from u4_symmetric_factors.
-
-    The p2 roots straddle both 1 and the p1 root, so the descending order is
-    fixed for every a >= 1: p2_hi^2, p1_root^1, 1^(3a-3), p2_lo^2, 0^1.
-    """
-    (l1, l0), (q2, q1, q0), mult_one, mult_zero = u4_symmetric_factors(a)
-    lin = -l0 / l1
-    hi, lo = quadratic_roots(q2, q1, q0)
-    pairs: list[tuple[float, int]] = [(hi, 2), (lin, 1)]
-    if mult_one:
-        pairs.append((1.0, mult_one))
-    pairs.extend([(lo, 2), (0.0, mult_zero)])
-    return PredictedSpectrum(pairs=tuple(pairs))
 
 
 FAMILY_GRAMMAR = """\

@@ -1,13 +1,10 @@
 """Dense symmetric eigensolver and spectrum bookkeeping.
 
-The eigensolver is a Jacobi iteration in the round-robin order of Brent and
-Luk: each round rotates away the off-diagonal mass of n/2 disjoint (p, q)
-planes in one matrix product, until the largest off-diagonal entry drops
-below DEFAULT_JACOBI_TOL, and returns the eigenvalues only.  Its callers are
-all in `nlspec`: the one L solve of `SpectralContext.values`,
-`adjacency_spectrum` and the Gram-matrix solve of the bipartite
-factorization.  The exhaustive scans do not use it; they take
-their spectra from one batched `numpy.linalg.eigvalsh` call per order.
+`jacobi_eigen` validates a symmetric matrix and returns its eigenvalues from
+LAPACK, through `numpy.linalg.eigvalsh`.  Its callers are all in `nlspec`:
+the one L solve of `SpectralContext.values`, `adjacency_spectrum` and the
+Gram-matrix solve of the bipartite factorization.  The exhaustive scans
+take their spectra from one batched `eigvalsh` call per order.
 
 Spectra are stored clustered: a sorted run of eigenvalues is merged into
 (value, multiplicity) pairs by single linkage with a fixed tolerance, and the
@@ -16,7 +13,6 @@ stored value is the mean of each cluster.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -24,7 +20,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "JacobiConvergenceError",
     "Spectrum",
     "PredictedSpectrum",
     "as_symmetric",
@@ -37,24 +32,6 @@ __all__ = [
 
 #: default threshold for declaring two eigenvalues equal when clustering
 DEFAULT_CLUSTER_TOL = 1e-6
-
-#: off-diagonal sweep threshold for the Jacobi iteration
-DEFAULT_JACOBI_TOL = 1e-12
-
-_MAX_SWEEPS = 60
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Raised when the sweep budget is exhausted before convergence."""
-
-    def __init__(self, order: int, sweeps: int, off: float):
-        self.order = order
-        self.sweeps = sweeps
-        self.off = off
-        super().__init__(
-            f"Jacobi failed to converge for order {order} after {sweeps} sweeps "
-            f"(max off-diagonal {off:.3e})"
-        )
 
 
 def as_symmetric(m: "np.ndarray | Sequence", name: str = "matrix") -> np.ndarray:
@@ -75,69 +52,13 @@ def as_symmetric(m: "np.ndarray | Sequence", name: str = "matrix") -> np.ndarray
 
 
 def jacobi_eigen(m: "np.ndarray | Sequence") -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by round-robin Jacobi rotations.
+    """Eigenvalues of a symmetric matrix, as a descending 1-D array.
 
-    A sweep visits every (p, q) plane once, in the n - 1 rounds of the
-    parallel ordering of Brent & Luk (SIAM J. Sci. Stat. Comput. 6, 1985).
-    A round's planes are disjoint, so its rotations commute and are applied
-    as one orthogonal matrix.  Sweeps stop once every off-diagonal entry is
-    <= DEFAULT_JACOBI_TOL in absolute value; more than _MAX_SWEEPS sweeps
-    raise JacobiConvergenceError.  Returns the eigenvalues as a descending
-    1-D array.
+    `m` is checked by `as_symmetric` and solved by LAPACK through
+    `numpy.linalg.eigvalsh`.  The name is kept from the Jacobi iteration
+    this replaced, because the benchmark's tracing binds it by name.
     """
-    a0 = as_symmetric(m)
-    n = a0.shape[0]
-    if n < 2:
-        return np.diag(a0).copy()
-
-    # an odd order gets one dummy index; its row and column stay exactly
-    # zero, so none of its planes is ever rotated, and it is sliced off below
-    size = n + n % 2
-    a = np.zeros((size, size))
-    a[:n, :n] = a0
-    # rotations smaller than this are skipped inside a sweep; anything the
-    # sweep skips is already far below the stopping threshold
-    skip = DEFAULT_JACOBI_TOL * 1e-2
-    sweeps = 0
-    while True:
-        off = float(np.abs(a - np.diag(np.diag(a))).max())
-        if off <= DEFAULT_JACOBI_TOL:
-            break
-        if sweeps >= _MAX_SWEEPS:
-            raise JacobiConvergenceError(n, sweeps, off)
-        for p, q, at in _round_robin(size):
-            apq = a[p, q]
-            live = np.abs(apq) > skip
-            if not live.any():
-                continue
-            # classical 2x2 annihilation, tan(theta) of smaller magnitude:
-            # t = b / (d + sign(d) hypot(d, b)) with b = 2 a_pq, d = a_qq - a_pp
-            b = 2.0 * apq
-            d = a[q, q] - a[p, p]
-            t = np.divide(b, d + np.copysign(np.hypot(d, b), d), out=np.zeros_like(b), where=live)
-            c = 1.0 / np.hypot(1.0, t)
-            s = t * c
-            j = np.zeros((size, size))
-            j.ravel()[at] = np.concatenate((c, c, s, -s))
-            a = j.T @ a @ j
-            a = (a + a.T) * 0.5
-            a[p, q] = a[q, p] = np.where(live, 0.0, apq)
-        sweeps += 1
-
-    values = np.diag(a)[:n]
-    return values[np.argsort(values)[::-1]]
-
-
-@functools.lru_cache(maxsize=32)
-def _round_robin(size: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    # even order: size - 1 rounds of disjoint planes (p, q), p < q, and the
-    # flat positions of (p, p), (q, q), (p, q), (q, p); 0 stays, the rest cycle
-    rounds = []
-    for r in range(size - 1):
-        slots = np.r_[0, np.roll(np.arange(1, size), r)]
-        p, q = np.sort([slots[: size // 2], slots[: size // 2 - 1 : -1]], axis=0)
-        rounds.append((p, q, np.r_[p * size + p, q * size + q, p * size + q, q * size + p]))
-    return tuple(rounds)
+    return np.linalg.eigvalsh(as_symmetric(m))[::-1]
 
 
 @dataclass(frozen=True)
@@ -202,7 +123,9 @@ def cluster_spectrum(
 
     Single linkage on the sorted list: a new cluster starts wherever the gap
     between neighbours exceeds `cluster_tol`.  Idempotent on already-clustered
-    data because surviving gaps exceed the tolerance by construction.
+    data because surviving gaps exceed the tolerance by construction, and
+    because a mean is clamped to its cluster's range: the float mean of m
+    copies of v need not be v.
     """
     if not (math.isfinite(cluster_tol) and cluster_tol > 0):
         raise ValueError("cluster_tol must be positive and finite")
@@ -214,7 +137,7 @@ def cluster_spectrum(
     for i in range(1, arr.size + 1):
         if i == arr.size or arr[i] - arr[i - 1] > cluster_tol:
             chunk = arr[start:i]
-            pairs.append((float(chunk.mean()), int(chunk.size)))
+            pairs.append((float(np.clip(chunk.mean(), chunk[0], chunk[-1])), int(chunk.size)))
             start = i
     pairs.reverse()
     return Spectrum(pairs=tuple(pairs), cluster_tol=cluster_tol)

@@ -445,17 +445,21 @@ def check_eigenvalue_product(
 
     The lambda_i are the nonzero clusters of the context's spectrum; a
     spectrum with wrong values makes the residual blow up, which is the
-    converse direction of the identity.  A smallest cluster away from 0 (a
-    cluster tolerance too wide to separate it) raises ValueError.  A graph
-    without edges (K1) has no 2m to divide by and gets a precondition
-    report.
+    converse direction of the identity.  A graph without edges (K1) has no
+    2m to divide by, and a smallest cluster away from 0 (a cluster tolerance
+    too wide to separate it) leaves no zero to drop; both get a
+    precondition report.
     """
     g = ctx.graph
     if g.m == 0:
         return _precondition_report("eq1", "needs at least one edge")
     spec = ctx.spectrum
     if abs(spec.values[-1]) > _ZERO_TOL:
-        raise ValueError("spectrum must include the zero eigenvalue cluster")
+        return _precondition_report(
+            "eq1",
+            "need the smallest L-eigenvalue cluster to be 0",
+            {"distinct": spec.distinct_count, "values": list(spec.values)},
+        )
     nonzero = list(spec.values[:-1])
     s = len(nonzero) + 1
     bundle = ctx.bundle

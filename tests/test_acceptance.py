@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from closed_forms import predicted_incidence_adjacency_spectrum, u4_symmetric_spectrum
 from speclap.designs import (
     FiniteField,
     complement,
@@ -19,7 +20,6 @@ from speclap.designs import (
     incidence_graph,
     paley1,
     paley2,
-    predicted_incidence_adjacency_spectrum,
     prime_power,
     sylvester_of_order,
 )
@@ -35,7 +35,6 @@ from speclap.families import (
     predicted_pendant_join_spectrum,
     predicted_regular_multipartite_spectrum,
     u4_symmetric_factors,
-    u4_symmetric_spectrum,
     unicyclic,
 )
 from speclap.graph import bipartite_split, duplicate_classes, from_edge_list, is_connected

@@ -473,6 +473,15 @@ def test_verify_eq1_on_k1_is_inapplicable_strict_json(capsys):
     assert report["results"][0]["witness"]["reason"] == "needs at least one edge"
 
 
+def test_verify_eq1_without_zero_cluster_is_inapplicable(capsys):
+    # at --tol 0.5 the zero eigenvalue of P5 merges with its neighbours
+    code, out, err = run(capsys, "verify", "eq1", "P5", "--tol", "0.5")
+    assert code == 0 and err == ""
+    report = json.loads(out)["report"]
+    assert report["applicable"] is False
+    assert report["results"][0]["check"] == "precondition"
+
+
 def test_verify_tol_reaches_suite(capsys, monkeypatch):
     # at --tol 0.8 C5 clusters to two values, so it is no 3-value graph
     code, out, _ = run(capsys, "verify", "three-ev", "C5", "--tol", "0.8")

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from closed_forms import predicted_incidence_adjacency_spectrum
 from speclap.designs import (
     MAX_HADAMARD_ORDER,
     Design,
@@ -21,7 +22,6 @@ from speclap.designs import (
     paley1,
     paley2,
     paley_core,
-    predicted_incidence_adjacency_spectrum,
     prime_power,
     sylvester,
     sylvester_of_order,

@@ -1,17 +1,21 @@
-"""Jacobi eigensolver, spectrum clustering and matching."""
+"""Eigensolver, spectrum clustering and matching."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speclap import linalg
+from closed_forms import (
+    complete_bipartite_l_values,
+    complete_l_values,
+    cycle_l_values,
+    incidence_l_values,
+    predicted_incidence_adjacency_spectrum,
+)
 from speclap.designs import hadamard_to_design, incidence_graph, sylvester_of_order
-from speclap.families import complete
+from speclap.families import complete, complete_bipartite, cycle
 from speclap.linalg import (
     DEFAULT_CLUSTER_TOL,
-    DEFAULT_JACOBI_TOL,
-    JacobiConvergenceError,
     PredictedSpectrum,
     Spectrum,
     as_symmetric,
@@ -23,60 +27,75 @@ from speclap.linalg import (
 )
 from speclap.nlspec import build
 
+# graph of order n and its closed-form L-eigenvalues; K_{s,t} splits n evenly
+CLOSED_FORMS = {
+    "K": (complete, complete_l_values),
+    "C": (cycle, cycle_l_values),
+    "Kst": (
+        lambda n: complete_bipartite(n // 2, n - n // 2),
+        lambda n: complete_bipartite_l_values(n // 2, n - n // 2),
+    ),
+}
 
-def random_symmetric(n, rng):
-    a = rng.standard_normal((n, n))
-    return (a + a.T) / 2
 
-
-def sylvester32_incidence():
-    """L and A of the 62-vertex incidence graph of the Sylvester-32 design."""
-    g, _ = incidence_graph(hadamard_to_design(sylvester_of_order(32)))
-    return build(g).L, g.adjacency_matrix().astype(float)
+def assert_power_sums(a, vals):
+    """tr(A^k) = sum of lambda^k for k = 1, 2, 3: an oracle from matrix
+    products alone."""
+    power = np.eye(len(a))
+    for k in (1, 2, 3):
+        power = power @ a
+        assert np.isclose(np.sum(vals**k), np.trace(power), rtol=1e-9, atol=1e-9), k
 
 
 def test_jacobi_matches_lapack():
-    rng = np.random.default_rng(7)
-    mats = [random_symmetric(n, rng) for n in [1, 2, 3, 4, 5, 7, 8, 13, 16, 17, 20, 31, 33, 62, 63, 64]]
-    mats += sylvester32_incidence()
-    for n in (5, 6):
-        kn = complete(n)
-        mats += [build(kn).L, kn.adjacency_matrix().astype(float)]
-    mats.append(np.zeros((6, 6)))
-    for a in mats:
+    """The LAPACK route returns closed-form spectra at 1e-10: K_n, C_n,
+    K_{s,t}, and both matrices of the 62-vertex Sylvester-32 incidence
+    graph.  Random matrices keep their shape, order and power sums."""
+    cases = [(np.zeros((6, 6)), np.zeros(6))]
+    for n in (2, 3, 5, 6, 17, 33, 64):
+        cases.append((build(complete(n)).L, complete_l_values(n)))
+    for n in (3, 4, 5, 7, 16, 31, 62):
+        cases.append((build(cycle(n)).L, cycle_l_values(n)))
+    for s, t in ((1, 1), (1, 4), (2, 3), (7, 9), (20, 31)):
+        cases.append((build(complete_bipartite(s, t)).L, complete_bipartite_l_values(s, t)))
+    d = hadamard_to_design(sylvester_of_order(32))
+    g, _ = incidence_graph(d)
+    cases.append((build(g).L, incidence_l_values(d)))
+    adjacency = predicted_incidence_adjacency_spectrum(d).expand()
+    cases.append((g.adjacency_matrix().astype(float), adjacency))
+    for a, expected in cases:
         vals = jacobi_eigen(a)
         assert vals.shape == (len(a),)
-        assert np.allclose(np.sort(vals), np.linalg.eigvalsh(a), atol=1e-10)
         assert np.all(np.diff(vals) <= 0)  # descending
+        assert np.allclose(vals, expected, rtol=0, atol=1e-10)
 
-
-def test_jacobi_raises_when_sweeps_run_out(monkeypatch):
-    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
-    a = random_symmetric(12, np.random.default_rng(5))
-    with pytest.raises(JacobiConvergenceError) as info:
-        jacobi_eigen(a)
-    assert info.value.order == 12
-    assert info.value.sweeps == 1
-    assert info.value.off > DEFAULT_JACOBI_TOL
-
-
-def test_jacobi_converges_on_incidence_graph_within_20_sweeps(monkeypatch):
-    """These highly degenerate spectra take 9-10 round-robin sweeps; the
-    guard bounds sweeps, not time."""
-    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 20)
-    for a in sylvester32_incidence():
-        assert np.allclose(np.sort(jacobi_eigen(a)), np.linalg.eigvalsh(a), atol=1e-10)
+    rng = np.random.default_rng(7)
+    for n in [1, 2, 3, 4, 5, 7, 8, 13, 16, 17, 20, 31, 33, 62, 63, 64]:
+        a = rng.standard_normal((n, n))
+        a = (a + a.T) / 2
+        vals = jacobi_eigen(a)
+        assert vals.shape == (n,)
+        assert np.all(np.diff(vals) <= 0)
+        assert_power_sums(a, vals)
 
 
 @settings(deadline=None, max_examples=50)
 @given(st.data())
 def test_jacobi_matches_lapack_on_random_01_matrices(data):
-    n = data.draw(st.integers(1, 40))
+    """A relabelled K_n, C_n or K_{s,t} has its closed-form L-spectrum at
+    1e-10; a random symmetric 0/1 matrix has its integer power sums."""
+    kind = data.draw(st.sampled_from(sorted(CLOSED_FORMS)))
+    n = data.draw(st.integers(3, 40))
+    graph_of, values_of = CLOSED_FORMS[kind]
+    perm = data.draw(st.permutations(range(n)))
+    lap = build(graph_of(n)).L[np.ix_(perm, perm)]
+    assert np.allclose(jacobi_eigen(lap), values_of(n), rtol=0, atol=1e-10)
+
     bits = data.draw(st.lists(st.booleans(), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
     a = np.zeros((n, n))
     a[np.triu_indices(n)] = bits
     a += np.triu(a, 1).T
-    assert np.allclose(np.sort(jacobi_eigen(a)), np.linalg.eigvalsh(a), rtol=0, atol=1e-10)
+    assert_power_sums(a, jacobi_eigen(a))
 
 
 def test_jacobi_diagonal_is_exact():
@@ -117,6 +136,16 @@ def test_cluster_is_idempotent():
     spec = cluster_spectrum(vals)
     again = cluster_spectrum(spec.expand(), spec.cluster_tol)
     assert again.pairs == spec.pairs
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.floats(-3, 3), min_size=1, max_size=64),
+    st.sampled_from([1e-12, DEFAULT_CLUSTER_TOL, 1e-3, 0.05, 0.5]),
+)
+def test_cluster_spectrum_is_idempotent_property(values, tol):
+    spec = cluster_spectrum(values, tol)
+    assert cluster_spectrum(spec.expand(), spec.cluster_tol) == spec
 
 
 def test_spectrum_validates_ordering():

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from closed_forms import cycle_l_values
 from speclap import nlspec
 from speclap.families import (
     complete,
@@ -13,7 +16,7 @@ from speclap.families import (
     path,
     unicyclic,
 )
-from speclap.graph import Graph, duplicate_classes, from_edge_list
+from speclap.graph import Graph, bipartite_split, duplicate_classes, from_edge_list
 from speclap.linalg import cluster_spectrum
 from speclap.nlspec import (
     SUITES,
@@ -44,10 +47,6 @@ def petersen():
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
     return from_edge_list(10, outer + inner + spokes)
-
-
-def cycle_l_values(n):
-    return [1 - np.cos(2 * np.pi * k / n) for k in range(n)]
 
 
 # -- matrix construction -------------------------------------------------
@@ -177,9 +176,13 @@ def test_eigenvalue_product_accepts_explicit_spectrum():
 
 def test_eigenvalue_product_rejects_nonzero_smallest_cluster():
     # at cluster tolerance 0.5 the zero eigenvalue of P5 merges with its
-    # neighbours, so no cluster sits at 0
-    with pytest.raises(ValueError, match="zero eigenvalue cluster"):
-        check_eigenvalue_product(SpectralContext(path(5), 0.5))
+    # neighbours, so no cluster sits at 0: the identity does not apply
+    report = check_eigenvalue_product(SpectralContext(path(5), 0.5))
+    assert not report.applicable
+    (result,) = report.results
+    assert result.check == "precondition"
+    assert result.witness["reason"] == "need the smallest L-eigenvalue cluster to be 0"
+    assert result.witness["detail"]["distinct"] == 3
 
 
 # -- three-eigenvalue identities -----------------------------------------
@@ -560,3 +563,42 @@ def test_suite_assembles_and_solves_l_once(name, token, monkeypatch):
     # besides L, only the factorization suite solves a matrix: the smaller
     # Gram matrix of the biadjacency block
     assert len(solved) - solved.count(g.n) <= (name == "bipartite-factorization")
+
+
+# -- properties on random connected graphs ---------------------------------
+
+
+@st.composite
+def connected_graphs(draw, max_n=20):
+    """A random tree on 2..max_n vertices (lemma22 needs two) plus random
+    extra edges.  Half the draws are bipartite: every edge then joins two
+    colour classes, which vertices 0 and 1 both seed, and leaves hung on one
+    vertex are an independent duplicate class."""
+    n = draw(st.integers(2, max_n))
+    bipartite = draw(st.booleans())
+    colour = [0, 1] + [draw(st.integers(0, 1)) for _ in range(n - 2)] if bipartite else [0] * n
+
+    def allowed(u, v):
+        return not bipartite or colour[u] != colour[v]
+
+    parents = [draw(st.sampled_from([u for u in range(v) if allowed(u, v)])) for v in range(1, n)]
+    edges = set(zip(parents, range(1, n)))
+    extra = [(u, v) for v in range(n) for u in range(v) if allowed(u, v) and (u, v) not in edges]
+    if extra:
+        edges |= set(draw(st.lists(st.sampled_from(extra), max_size=2 * n)))
+    return from_edge_list(n, sorted(edges))
+
+
+@settings(deadline=None, max_examples=60)
+@given(connected_graphs())
+def test_lemma22_holds_on_random_connected_graphs(g):
+    assert SUITES["lemma22"](SpectralContext(g)).passed
+
+
+@settings(deadline=None, max_examples=60)
+@given(connected_graphs())
+def test_cor21_holds_on_random_connected_graphs(g):
+    report = SUITES["cor21"](SpectralContext(g))
+    twins = any(c.kind == "independent" for c in duplicate_classes(g))
+    assert report.applicable == (bipartite_split(g) is not None and twins)
+    assert report.passed
