@@ -44,7 +44,6 @@ __all__ = [
     "predicted_pendant_join_spectrum",
     "predicted_complete_bipartite_spectrum",
     "predicted_regular_multipartite_spectrum",
-    "u4_symmetric_factors",
     "parse_family",
     "UnknownFamilyError",
     "FAMILY_GRAMMAR",
@@ -341,23 +340,6 @@ def predicted_regular_multipartite_spectrum(r: int, n: int) -> PredictedSpectrum
         pairs.append((1.0, n - r))
     pairs.append((0.0, 1))
     return PredictedSpectrum(pairs=tuple(pairs))
-
-
-def u4_symmetric_factors(a: int) -> tuple[tuple[int, int], tuple[int, int, int], int, int]:
-    """Characteristic-polynomial factorization data for U4(a, a, a).
-
-    The L-characteristic polynomial factors as
-
-        x * (x - 1)^(3a-3) * p1(x) * p2(x)^2
-
-    with p1(x) = (a+2) x - 2(a+1) and p2(x) = (a+2) x^2 - (2a+5) x + 3.
-    Returns (p1 coefficients, p2 coefficients, multiplicity of eigenvalue 1,
-    multiplicity of eigenvalue 0), polynomial coefficients highest degree
-    first.
-    """
-    if a < 1:
-        raise ValueError("a must be >= 1")
-    return ((a + 2, -2 * (a + 1)), (a + 2, -(2 * a + 5), 3), 3 * a - 3, 1)
 
 
 FAMILY_GRAMMAR = """\

@@ -25,7 +25,6 @@ __all__ = [
     "as_symmetric",
     "jacobi_eigen",
     "cluster_spectrum",
-    "quadratic_roots",
     "spectra_match",
     "format_value",
 ]
@@ -199,30 +198,6 @@ def spectra_match(
         if cm != pm:
             ok = False
     return (ok and dev <= value_tol), dev
-
-
-def quadratic_roots(a2: float, a1: float, a0: float) -> tuple[float, float]:
-    """Real roots of a2*x^2 + a1*x + a0, larger first.
-
-    Uses the sign-safe form to avoid cancellation; raises ValueError when the
-    discriminant is negative or the leading coefficient vanishes.
-    """
-    if a2 == 0:
-        raise ValueError("leading coefficient must be nonzero")
-    disc = a1 * a1 - 4.0 * a2 * a0
-    if disc < 0:
-        raise ValueError(f"negative discriminant {disc}")
-    sq = math.sqrt(disc)
-    if a1 >= 0:
-        qq = -0.5 * (a1 + sq)
-    else:
-        qq = -0.5 * (a1 - sq)
-    # roots: qq / a2 and a0 / qq (when qq == 0 both roots are 0)
-    if qq == 0.0:
-        return 0.0, 0.0
-    r1 = qq / a2
-    r2 = a0 / qq
-    return (r1, r2) if r1 >= r2 else (r2, r1)
 
 
 def format_value(x: float, paper_precision: bool = False) -> str:

@@ -8,10 +8,13 @@ check suites behind the CLI `verify` command:
   bipartite symmetry) -- suite "lemma22";
 * the rank-one product identity prod(L - lambda_i I) = +/- (prod lambda_i)
   sqrt(d) sqrt(d)^T / 2m for connected graphs -- suite "eq1";
-* entrywise degree identities for connected graphs with three distinct
-  eigenvalues, plus the degree-gap bound -- suites "three-ev", "lemma24";
-* the diagonal identity for four distinct eigenvalues and its bipartite
-  refinement -- suite "four-ev";
+* for connected graphs with three distinct eigenvalues {alpha, beta, 0},
+  the rank-one identity (L - alpha I)(L - beta I) = (alpha beta / 2m)
+  sqrt(d) sqrt(d)^T and its entrywise degree identities, plus the
+  degree-gap bound -- suites "three-ev", "lemma24";
+* for four distinct eigenvalues {alpha, beta, gamma, 0}, the diagonal of
+  (L - alpha I)(L - beta I)(L - gamma I) and its bipartite refinement --
+  suite "four-ev";
 * duplicate-vertex eigenvectors with predicted eigenvalues -- suite
   "lemma23";
 * classification of connected graphs with three distinct eigenvalues one of
@@ -21,10 +24,14 @@ check suites behind the CLI `verify` command:
   "bipartite-factorization" -- and the apex-plus-pendant family with four
   distinct eigenvalues -- suite "thm41".
 
-Every check reads its graph through a SpectralContext, which assembles L,
-solves it and clusters the spectrum at most once however many checks share
-it.  `SUITES` maps each graph-input suite name to a function of one context;
-"thm41" is not in it because it builds its own graph.
+Every check reads its graph through a SpectralContext, which assembles A
+and L, solves L and clusters the spectrum at most once however many checks
+share it.  The degree sums of the entrywise identities are entries of
+products of A and D^{-1}: with P = A D^{-1}, sum_{w ~ u} 1/d_w is (P 1)_u,
+the common-neighbour sum sum_{w in N(u) cap N(v)} 1/d_w is (P A)_{uv}, and
+the sum of 1/(d_v d_w) over ordered adjacent neighbour pairs (v, w) of u is
+(P P A)_{uu}.  `SUITES` maps each graph-input suite name to a function of
+one context; "thm41" is not in it because it builds its own graph.
 
 Check functions never hide failures: every numeric claim lands in a
 CheckResult with its residual, and violated *mathematical* preconditions are
@@ -38,7 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -109,14 +116,16 @@ _BRANCH_TOL = 1e-9  # deciding beta == 1 vs beta < 1
 
 @dataclass(frozen=True)
 class LaplacianBundle:
-    """Degree vector and normalized Laplacian of one graph.
+    """Adjacency matrix, degree vector and normalized Laplacian of one graph.
 
-    D is the degree vector (the diagonal of the degree matrix) and
+    A is the 0/1 adjacency matrix as floats, D the degree vector (the
+    diagonal of the degree matrix) and
     L = diag(d > 0) - D^{-1/2} A D^{-1/2}, with isolated vertices
     contributing zero rows to the second term, i.e. the diagonal entry is 1
     at vertices of positive degree and 0 at isolated ones.
     """
 
+    A: np.ndarray
     D: np.ndarray
     L: np.ndarray
 
@@ -134,7 +143,7 @@ def build(g: Graph) -> LaplacianBundle:
     s[nz] = 1.0 / np.sqrt(d[nz])
     Astar = A * np.outer(s, s)
     L = np.diag(nz.astype(float)) - Astar
-    return LaplacianBundle(D=d, L=L)
+    return LaplacianBundle(A=A, D=d, L=L)
 
 
 def l_spectrum(g: Graph, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
@@ -150,9 +159,10 @@ def adjacency_spectrum(g: Graph, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Sp
 @dataclass
 class SpectralContext:
     """One graph, its cluster tolerance, and the spectral data the checks
-    read: the LaplacianBundle, the eigenvalues of L and its clustered
-    spectrum.  Each is computed on first use and then kept, so the checks run
-    on one context share a single assembly and a single solve of L."""
+    read: the LaplacianBundle (A, D and L), the eigenvalues of L and its
+    clustered spectrum.  Each is computed on first use and then kept, so the
+    checks run on one context share a single assembly and a single solve of
+    L."""
 
     graph: Graph
     cluster_tol: float = DEFAULT_CLUSTER_TOL
@@ -302,11 +312,13 @@ def check_spectrum_fundamentals(
     spectrum is symmetric under x -> 2 - x iff the graph is bipartite *and*
     has no isolated vertices (an isolated vertex adds a 0 without a matching
     2, so the classical bipartite symmetry needs the extra hypothesis).
+    A graph on fewer than 2 vertices has no lambda_{n-1} and gets a
+    precondition report.
     """
     g = ctx.graph
     n = g.n
     if n < 2:
-        raise ValueError("fundamental checks need at least 2 vertices")
+        return _precondition_report("lemma22", "needs at least 2 vertices")
     vals = ctx.values  # descending
     iso = int(np.sum(g.degrees() == 0))
     comps = components(g)
@@ -488,10 +500,6 @@ def check_eigenvalue_product(
 # three distinct eigenvalues
 
 
-def _inverse_degree_sum(d: np.ndarray, verts: Sequence[int]) -> float:
-    return float(sum(1.0 / d[w] for w in verts))
-
-
 @_suite("three-ev", connected=True, distinct=3)
 def check_three_ev_identities(
     ctx: SpectralContext,
@@ -511,41 +519,33 @@ def check_three_ev_identities(
 
         S(u,v) = (alpha beta / 2m) d_u d_v - (alpha + beta - 2)   (u ~ v)
         S(u,v) = (alpha beta / 2m) d_u d_v                        (u !~ v)
+
+    In matrix form the vertex sums are A D^{-1} 1 and S(u,v) is entry (u,v)
+    of W = A D^{-1} A, so W = (alpha beta / 2m) d d^T - (alpha + beta - 2) A
+    off the diagonal; the pairs u < v are split by whether A is 1 or 0.
     """
     g = ctx.graph
     alpha, beta = ctx.spectrum.values[:-1]
 
-    bundle = ctx.bundle
+    A, d, L = ctx.bundle.A, ctx.bundle.D, ctx.bundle.L
     n, m = g.n, g.m
-    d = bundle.D
     coef = alpha * beta / (2 * m)
 
     sqrt_d = np.sqrt(d)
-    quad = (bundle.L - alpha * np.eye(n)) @ (bundle.L - beta * np.eye(n))
+    quad = (L - alpha * np.eye(n)) @ (L - beta * np.eye(n))
     quad_res = float(np.max(np.abs(quad - coef * np.outer(sqrt_d, sqrt_d))))
 
-    vertex_res = 0.0
-    for u in range(n):
-        lhs = _inverse_degree_sum(d, list(g.neighbors(u)))
-        rhs = coef * d[u] ** 2 - (alpha - 1) * (beta - 1) * d[u]
-        vertex_res = max(vertex_res, abs(lhs - rhs))
+    P = A / d  # A D^{-1}
+    vertex_rhs = coef * d**2 - (alpha - 1) * (beta - 1) * d
+    vertex_res = float(np.max(np.abs(P.sum(axis=1) - vertex_rhs)))
 
-    adj_res = 0.0
-    non_res = 0.0
-    adj_pairs = 0
-    non_pairs = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            common = [w for w in g.neighbors(u) if g.has_edge(w, v)]
-            lhs = _inverse_degree_sum(d, common)
-            if g.has_edge(u, v):
-                rhs = coef * d[u] * d[v] - (alpha + beta - 2)
-                adj_res = max(adj_res, abs(lhs - rhs))
-                adj_pairs += 1
-            else:
-                rhs = coef * d[u] * d[v]
-                non_res = max(non_res, abs(lhs - rhs))
-                non_pairs += 1
+    pair_dev = np.abs(P @ A - (coef * np.outer(d, d) - (alpha + beta - 2) * A))
+    adjacent = np.triu(A == 1, 1)
+    non_adjacent = np.triu(A == 0, 1)
+    adj_pairs = int(np.count_nonzero(adjacent))
+    non_pairs = int(np.count_nonzero(non_adjacent))
+    adj_res = float(pair_dev[adjacent].max(initial=0.0))
+    non_res = float(pair_dev[non_adjacent].max(initial=0.0))
 
     results = [
         CheckResult(
@@ -589,9 +589,14 @@ def check_three_ev_degree_bounds(
     beta <= 1 always holds.  When beta = 1, every pair of non-adjacent
     vertices must share the same neighborhood; when beta < 1 their degree
     gap obeys |d_u - d_v| <= -2m (alpha-1)(beta-1) / (alpha beta).
+
+    The non-adjacent pairs u < v are the upper triangle of A == 0.  Rows u
+    and v of A agree exactly when d_u + d_v = 2 (A^2)_{uv}, the number of
+    common neighbours counted twice.
     """
     g = ctx.graph
     alpha, beta = ctx.spectrum.values[:-1]
+    A, d = ctx.bundle.A, ctx.bundle.D
     results = [
         CheckResult(
             check="beta-at-most-one",
@@ -601,39 +606,30 @@ def check_three_ev_degree_bounds(
         )
     ]
 
-    non_adjacent = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.has_edge(u, v)
-    ]
+    non_adjacent = np.triu(A == 0, 1)
+    pairs = int(np.count_nonzero(non_adjacent))
     if abs(beta - 1.0) <= _BRANCH_TOL:
-        mismatches = [
-            (u, v) for u, v in non_adjacent if g.adj[u] != g.adj[v]
-        ]
+        # row-major (u, v), u < v
+        mismatches = np.argwhere(non_adjacent & (np.add.outer(d, d) != 2 * (A @ A)))
         results.append(
             CheckResult(
                 check="shared-neighborhoods",
-                passed=not mismatches,
+                passed=len(mismatches) == 0,
                 residual=float(len(mismatches)),
-                witness={"pairs": len(non_adjacent), "mismatches": mismatches[:5]},
-                applicable=bool(non_adjacent),
+                witness={"pairs": pairs, "mismatches": mismatches[:5].tolist()},
+                applicable=pairs > 0,
             )
         )
     else:
         bound = -2 * g.m * (alpha - 1) * (beta - 1) / (alpha * beta)
-        degs = g.degrees()
-        worst = max(
-            (abs(int(degs[u]) - int(degs[v])) for u, v in non_adjacent),
-            default=0,
-        )
+        worst = int(np.abs(np.subtract.outer(d, d))[non_adjacent].max(initial=0))
         results.append(
             CheckResult(
                 check="degree-gap-bound",
                 passed=worst <= bound + tol,
                 residual=max(0.0, worst - bound),
-                witness={"bound": bound, "max_gap": worst, "pairs": len(non_adjacent)},
-                applicable=bool(non_adjacent),
+                witness={"bound": bound, "max_gap": worst, "pairs": pairs},
+                applicable=pairs > 0,
             )
         )
     return CheckReport(suite="lemma24", results=tuple(results))
@@ -659,29 +655,19 @@ def check_four_ev_diagonal(
 
     where S_u = sum_{v ~ u} 1/d_v and T_u sums 1/(d_v d_w) over *ordered*
     pairs (v, w) of adjacent neighbors of u, so each triangle through u
-    contributes twice.
+    contributes twice.  In matrix form S = A D^{-1} 1 and T is the diagonal
+    of A D^{-1} A D^{-1} A.
     """
     g = ctx.graph
     alpha, beta, gamma = ctx.spectrum.values[:-1]
-    d = ctx.bundle.D
-    m = g.m
-    coef = alpha * beta * gamma / (2 * m)
+    A, d = ctx.bundle.A, ctx.bundle.D
+    coef = alpha * beta * gamma / (2 * g.m)
 
-    worst = 0.0
-    for u in range(g.n):
-        nbrs = list(g.neighbors(u))
-        s_u = _inverse_degree_sum(d, nbrs)
-        t_u = 0.0
-        for v in nbrs:
-            for w in nbrs:
-                if w != v and g.has_edge(v, w):
-                    t_u += 1.0 / (d[v] * d[w])
-        lhs = (
-            t_u
-            + (alpha + beta + gamma - 3) * s_u
-            + (alpha - 1) * (beta - 1) * (gamma - 1) * d[u]
-        )
-        worst = max(worst, abs(lhs - coef * d[u] ** 2))
+    P = A / d  # A D^{-1}
+    s = P.sum(axis=1)
+    t = np.sum((P @ P) * A, axis=1)  # diag(P P A), as A is symmetric
+    lhs = t + (alpha + beta + gamma - 3) * s + (alpha - 1) * (beta - 1) * (gamma - 1) * d
+    worst = float(np.max(np.abs(lhs - coef * d**2)))
 
     return CheckReport(
         suite="four-ev",
@@ -708,7 +694,8 @@ def check_bipartite_four_ev(
     Per same-side pair u != v:
                   sum_{w in N(u) cap N(v)} 1/d_w = (alpha(2-alpha)/m) d_u d_v
 
-    (note the denominator m, not 2m).
+    (note the denominator m, not 2m).  In matrix form the vertex sums are
+    A D^{-1} 1 and the pair sums are the same-side entries of A D^{-1} A.
     """
     g = ctx.graph
     split = bipartite_split(g)
@@ -733,26 +720,19 @@ def check_bipartite_four_ev(
         )
     alpha = float(spec.values[2])
 
-    d = ctx.bundle.D
-    m = g.m
-    coef = alpha * (2 - alpha) / m
+    A, d = ctx.bundle.A, ctx.bundle.D
+    coef = alpha * (2 - alpha) / g.m
 
-    vertex_res = 0.0
-    for u in range(g.n):
-        lhs = _inverse_degree_sum(d, list(g.neighbors(u)))
-        rhs = (1 - alpha) ** 2 * d[u] + coef * d[u] ** 2
-        vertex_res = max(vertex_res, abs(lhs - rhs))
+    P = A / d  # A D^{-1}
+    vertex_rhs = (1 - alpha) ** 2 * d + coef * d**2
+    vertex_res = float(np.max(np.abs(P.sum(axis=1) - vertex_rhs)))
 
-    pair_res = 0.0
-    pairs = 0
-    side1, side2 = split.sides(g.n)
-    for side in (side1, side2):
-        for i, u in enumerate(side):
-            for v in side[i + 1 :]:
-                common = [w for w in g.neighbors(u) if g.has_edge(w, v)]
-                lhs = _inverse_degree_sum(d, common)
-                pair_res = max(pair_res, abs(lhs - coef * d[u] * d[v]))
-                pairs += 1
+    in_part1 = np.zeros(g.n, dtype=bool)
+    in_part1[split.sides(g.n)[0]] = True
+    same_side = np.triu(np.equal.outer(in_part1, in_part1), 1)
+    pairs = int(np.count_nonzero(same_side))
+    pair_dev = np.abs(P @ A - coef * np.outer(d, d))
+    pair_res = float(pair_dev[same_side].max(initial=0.0))
 
     return CheckReport(
         suite="four-ev",
@@ -930,11 +910,15 @@ def check_classification(
     values, one equal to 1) and membership in the two structural families;
     matches the closed-form spectrum for members; and checks the refinement
     that a multiplicity pattern (1, n-2, 1) occurs exactly for the complete
-    bipartite members (whose eigenvalues are then 2 and 1).
+    bipartite members (whose eigenvalues are then 2 and 1).  A connected
+    graph on fewer than 3 vertices, where the classification is not stated,
+    gets a precondition report; disconnected input raises ValueError.
     """
     from . import families
 
     g = ctx.graph
+    if g.n < 3 and is_connected(g):
+        return _precondition_report("thm21", "needs at least 3 vertices")
     cls = classify_three_with_one(ctx, value_tol)
     spec = cls.spectrum
     condition = cls.distinct_count == 3 and cls.has_one
@@ -990,11 +974,9 @@ def check_second_least_one(ctx: SpectralContext, tol: float = IDENTITY_TOL) -> C
 
     For a connected non-complete graph the second-least L-eigenvalue is at
     most 1, with equality precisely when the graph is complete multipartite.
-    Complete input is reported as not applicable.
+    Complete input, K1 among it, is reported as not applicable.
     """
     g = ctx.graph
-    if g.n < 2:
-        raise ValueError("criterion needs at least 2 vertices")
     if g.m == g.n * (g.n - 1) // 2:
         return _precondition_report("cor20", "complete graphs are excluded")
     vals = ctx.values

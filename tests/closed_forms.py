@@ -1,7 +1,8 @@
 """Closed-form spectra that the tests compare eigensolver output against.
 
 Each function returns exact targets from the structure of a graph or design,
-never from an eigensolver.
+never from an eigensolver.  `quadratic_roots` and `u4_symmetric_factors` are
+the algebra behind the U4(a, a, a) spectrum.
 """
 
 import math
@@ -9,8 +10,7 @@ import math
 import numpy as np
 
 from speclap.designs import Design
-from speclap.families import u4_symmetric_factors
-from speclap.linalg import PredictedSpectrum, quadratic_roots
+from speclap.linalg import PredictedSpectrum
 
 
 def complete_l_values(n: int) -> np.ndarray:
@@ -54,6 +54,47 @@ def predicted_incidence_adjacency_spectrum(d: Design) -> PredictedSpectrum:
             merged[val] = merged.get(val, 0) + mult
     pairs = tuple(sorted(merged.items(), reverse=True))
     return PredictedSpectrum(pairs=pairs)
+
+
+def quadratic_roots(a2: float, a1: float, a0: float) -> tuple[float, float]:
+    """Real roots of a2*x^2 + a1*x + a0, larger first.
+
+    Uses the sign-safe form to avoid cancellation; raises ValueError when the
+    discriminant is negative or the leading coefficient vanishes.
+    """
+    if a2 == 0:
+        raise ValueError("leading coefficient must be nonzero")
+    disc = a1 * a1 - 4.0 * a2 * a0
+    if disc < 0:
+        raise ValueError(f"negative discriminant {disc}")
+    sq = math.sqrt(disc)
+    if a1 >= 0:
+        qq = -0.5 * (a1 + sq)
+    else:
+        qq = -0.5 * (a1 - sq)
+    # roots: qq / a2 and a0 / qq (when qq == 0 both roots are 0)
+    if qq == 0.0:
+        return 0.0, 0.0
+    r1 = qq / a2
+    r2 = a0 / qq
+    return (r1, r2) if r1 >= r2 else (r2, r1)
+
+
+def u4_symmetric_factors(a: int) -> tuple[tuple[int, int], tuple[int, int, int], int, int]:
+    """Characteristic-polynomial factorization data for U4(a, a, a).
+
+    The L-characteristic polynomial factors as
+
+        x * (x - 1)^(3a-3) * p1(x) * p2(x)^2
+
+    with p1(x) = (a+2) x - 2(a+1) and p2(x) = (a+2) x^2 - (2a+5) x + 3.
+    Returns (p1 coefficients, p2 coefficients, multiplicity of eigenvalue 1,
+    multiplicity of eigenvalue 0), polynomial coefficients highest degree
+    first.
+    """
+    if a < 1:
+        raise ValueError("a must be >= 1")
+    return ((a + 2, -2 * (a + 1)), (a + 2, -(2 * a + 5), 3), 3 * a - 3, 1)
 
 
 def u4_symmetric_spectrum(a: int) -> PredictedSpectrum:

@@ -11,7 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from closed_forms import predicted_incidence_adjacency_spectrum, u4_symmetric_spectrum
+from closed_forms import (
+    predicted_incidence_adjacency_spectrum,
+    quadratic_roots,
+    u4_symmetric_factors,
+    u4_symmetric_spectrum,
+)
 from speclap.designs import (
     FiniteField,
     complement,
@@ -34,11 +39,10 @@ from speclap.families import (
     predicted_complete_bipartite_spectrum,
     predicted_pendant_join_spectrum,
     predicted_regular_multipartite_spectrum,
-    u4_symmetric_factors,
     unicyclic,
 )
 from speclap.graph import bipartite_split, duplicate_classes, from_edge_list, is_connected
-from speclap.linalg import quadratic_roots, spectra_match
+from speclap.linalg import spectra_match
 from speclap.nlspec import (
     adjacency_spectrum,
     check_bipartite_duplicate_parity,

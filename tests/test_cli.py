@@ -462,6 +462,14 @@ def test_verify_inapplicable_is_success(capsys):
         assert json.loads(out)["report"]["applicable"] is False, suite
 
 
+@pytest.mark.parametrize("token", ["@", "A_"])  # K1 and K2
+def test_verify_every_suite_reports_tiny_graphs(token, capsys):
+    for suite in nlspec.SUITES:
+        code, out, err = run(capsys, "verify", suite, token)
+        assert code in (0, 1) and err == "", (suite, err)
+        assert json.loads(out)["input"] == token
+
+
 def test_verify_eq1_on_k1_is_inapplicable_strict_json(capsys):
     def reject(token):
         raise ValueError(f"non-JSON constant {token}")

@@ -6,7 +6,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from closed_forms import u4_symmetric_spectrum
+from closed_forms import u4_symmetric_factors, u4_symmetric_spectrum
 from speclap.families import (
     FAMILY_GRAMMAR,
     UNICYCLIC_ARITY,
@@ -24,7 +24,6 @@ from speclap.families import (
     predicted_complete_bipartite_spectrum,
     predicted_pendant_join_spectrum,
     predicted_regular_multipartite_spectrum,
-    u4_symmetric_factors,
     unicyclic,
 )
 from speclap.graph import bipartite_split, is_connected

@@ -11,6 +11,7 @@ from closed_forms import (
     cycle_l_values,
     incidence_l_values,
     predicted_incidence_adjacency_spectrum,
+    quadratic_roots,
 )
 from speclap.designs import hadamard_to_design, incidence_graph, sylvester_of_order
 from speclap.families import complete, complete_bipartite, cycle
@@ -22,7 +23,6 @@ from speclap.linalg import (
     cluster_spectrum,
     format_value,
     jacobi_eigen,
-    quadratic_roots,
     spectra_match,
 )
 from speclap.nlspec import build

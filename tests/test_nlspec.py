@@ -1,5 +1,7 @@
 """Normalized-Laplacian construction, identity suites and classification."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,8 +116,9 @@ def test_fundamentals_pass(g):
 
 
 def test_fundamentals_rejects_single_vertex():
-    with pytest.raises(ValueError):
-        check_spectrum_fundamentals(from_edge_list(1, []))
+    report = check_spectrum_fundamentals(from_edge_list(1, []))
+    assert not report.applicable and report.passed
+    assert report.result("precondition").witness["reason"] == "needs at least 2 vertices"
 
 
 def test_bipartite_symmetry_cases():
@@ -288,6 +291,108 @@ def test_bipartite_four_ev_alpha_override():
     ctx.spectrum = cluster_spectrum([2.0, 1.1, 0.9, 0.0])
     report = check_bipartite_four_ev(ctx)
     assert report.applicable and not report.passed
+
+
+# -- entrywise reference for the matrix forms ------------------------------
+#
+# The suites read their degree sums off products of A and D^{-1}.  These are
+# the same sums taken vertex by vertex and pair by pair, as the identities
+# are stated.
+
+
+def _inverse_degree_sum(d, verts):
+    return float(sum(1.0 / d[w] for w in verts))
+
+
+def _common_sum(g, d, u, v):
+    return _inverse_degree_sum(d, [w for w in g.neighbors(u) if g.has_edge(w, v)])
+
+
+def reference_three_ev(g, alpha, beta):
+    """Residuals of the three-ev vertex and pair identities, by sub-check."""
+    d = g.degrees().astype(float)
+    coef = alpha * beta / (2 * g.m)
+    vertex = 0.0
+    for u in range(g.n):
+        rhs = coef * d[u] ** 2 - (alpha - 1) * (beta - 1) * d[u]
+        vertex = max(vertex, abs(_inverse_degree_sum(d, g.neighbors(u)) - rhs))
+    adj, non = [0.0], [0.0]
+    for u, v in itertools.combinations(range(g.n), 2):
+        lhs = _common_sum(g, d, u, v)
+        if g.has_edge(u, v):
+            adj.append(abs(lhs - (coef * d[u] * d[v] - (alpha + beta - 2))))
+        else:
+            non.append(abs(lhs - coef * d[u] * d[v]))
+    return {
+        "vertex-inverse-degree-sum": vertex,
+        "common-neighbors-adjacent": max(adj),
+        "common-neighbors-nonadjacent": max(non),
+    }
+
+
+def reference_four_ev_diagonal(g, alpha, beta, gamma):
+    """Residual of the four-ev diagonal identity, with T_u over ordered pairs."""
+    d = g.degrees().astype(float)
+    coef = alpha * beta * gamma / (2 * g.m)
+    worst = 0.0
+    for u in range(g.n):
+        nbrs = list(g.neighbors(u))
+        t_u = sum(1.0 / (d[v] * d[w]) for v in nbrs for w in nbrs if g.has_edge(v, w))
+        lhs = (
+            t_u
+            + (alpha + beta + gamma - 3) * _inverse_degree_sum(d, nbrs)
+            + (alpha - 1) * (beta - 1) * (gamma - 1) * d[u]
+        )
+        worst = max(worst, abs(lhs - coef * d[u] ** 2))
+    return {"vertex-diagonal-identity": worst}
+
+
+def reference_bipartite_four_ev(g, alpha):
+    """Residuals of the bipartite four-ev identities, by sub-check."""
+    d = g.degrees().astype(float)
+    coef = alpha * (2 - alpha) / g.m
+    vertex = 0.0
+    for u in range(g.n):
+        rhs = (1 - alpha) ** 2 * d[u] + coef * d[u] ** 2
+        vertex = max(vertex, abs(_inverse_degree_sum(d, g.neighbors(u)) - rhs))
+    pairs = [0.0]
+    for side in bipartite_split(g).sides(g.n):
+        for u, v in itertools.combinations(side, 2):
+            pairs.append(abs(_common_sum(g, d, u, v) - coef * d[u] * d[v]))
+    return {"bipartite-vertex-identity": vertex, "bipartite-same-side-pairs": max(pairs)}
+
+
+def seeded(g, values):
+    """A context of g whose spectrum is `values` in place of the solved one."""
+    ctx = SpectralContext(g)
+    ctx.spectrum = cluster_spectrum(values)
+    return ctx
+
+
+def assert_fails_with_residuals(report, expected):
+    assert report.applicable
+    for name, want in expected.items():
+        res = report.result(name)
+        if res.applicable:
+            assert res.residual == pytest.approx(want, abs=1e-12), name
+            assert not res.passed, name
+
+
+def test_matrix_forms_match_entrywise_reference():
+    # every nonzero value moved by 0.05: applicable, and every identity fails
+    for g in THREE_EV_GRAPHS:
+        alpha, beta = (v + 0.05 for v in l_spectrum(g).values[:-1])
+        report = check_three_ev_identities(seeded(g, [alpha, beta, 0.0]))
+        assert not report.result("quadratic-identity").passed
+        assert_fails_with_residuals(report, reference_three_ev(g, alpha, beta))
+    for g in FOUR_EV_GRAPHS:
+        alpha, beta, gamma = (v + 0.05 for v in l_spectrum(g).values[:-1])
+        report = check_four_ev_diagonal(seeded(g, [alpha, beta, gamma, 0.0]))
+        assert_fails_with_residuals(report, reference_four_ev_diagonal(g, alpha, beta, gamma))
+    for g in [path(4), cycle(6)]:
+        alpha = l_spectrum(g).values[2] + 0.05
+        report = check_bipartite_four_ev(seeded(g, [2.0, 2 - alpha, alpha, 0.0]))
+        assert_fails_with_residuals(report, reference_bipartite_four_ev(g, alpha))
 
 
 # -- duplicate classes (lemma23) -----------------------------------------
@@ -544,8 +649,9 @@ def test_classification_json_shape():
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_suite_assembles_and_solves_l_once(name, token, monkeypatch):
     g = parse_family(token)
-    built, solved = [], []
+    built, solved, adjacency = [], [], []
     real_build, real_jacobi = nlspec.build, nlspec.jacobi_eigen
+    real_adjacency = Graph.adjacency_matrix
 
     def counting_build(h):
         built.append(h)
@@ -555,10 +661,18 @@ def test_suite_assembles_and_solves_l_once(name, token, monkeypatch):
         solved.append(len(m))
         return real_jacobi(m, *args, **kwargs)
 
+    def counting_adjacency(h):
+        adjacency.append(h)
+        return real_adjacency(h)
+
     monkeypatch.setattr(nlspec, "build", counting_build)
     monkeypatch.setattr(nlspec, "jacobi_eigen", counting_jacobi)
+    monkeypatch.setattr(Graph, "adjacency_matrix", counting_adjacency)
     SUITES[name](SpectralContext(g))
     assert len(built) <= 1
+    # the suites read A from the context's bundle; the factorization builds
+    # its biadjacency block from a second copy
+    assert len(adjacency) <= 1 + (name == "bipartite-factorization")
     assert solved.count(g.n) <= 1
     # besides L, only the factorization suite solves a matrix: the smaller
     # Gram matrix of the biadjacency block
@@ -570,13 +684,15 @@ def test_suite_assembles_and_solves_l_once(name, token, monkeypatch):
 
 @st.composite
 def connected_graphs(draw, max_n=20):
-    """A random tree on 2..max_n vertices (lemma22 needs two) plus random
-    extra edges.  Half the draws are bipartite: every edge then joins two
-    colour classes, which vertices 0 and 1 both seed, and leaves hung on one
-    vertex are an independent duplicate class."""
-    n = draw(st.integers(2, max_n))
+    """A random tree on 1..max_n vertices plus random extra edges; the
+    single vertex K1 is in range.  Half the draws are bipartite: every edge
+    then joins two colour classes, which vertices 0 and 1 seed, and leaves
+    hung on one vertex are an independent duplicate class."""
+    n = draw(st.integers(1, max_n))
     bipartite = draw(st.booleans())
-    colour = [0, 1] + [draw(st.integers(0, 1)) for _ in range(n - 2)] if bipartite else [0] * n
+    colour = [0] * n
+    if bipartite:
+        colour = ([0, 1] + [draw(st.integers(0, 1)) for _ in range(n - 2)])[:n]
 
     def allowed(u, v):
         return not bipartite or colour[u] != colour[v]
