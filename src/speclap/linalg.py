@@ -170,9 +170,6 @@ class PredictedSpectrum:
     def expand(self) -> np.ndarray:
         return np.repeat([v for v, _ in self.pairs], [m for _, m in self.pairs])
 
-    def as_dict(self) -> dict:
-        return {"order": self.order, "pairs": [[v, m] for v, m in self.pairs]}
-
 
 def spectra_match(
     computed: Spectrum,

@@ -33,6 +33,12 @@ the sum of 1/(d_v d_w) over ordered adjacent neighbour pairs (v, w) of u is
 (P P A)_{uu}.  `SUITES` maps each graph-input suite name to a function of
 one context; "thm41" is not in it because it builds its own graph.
 
+The body of a graph-input suite returns only its CheckResults; the `_suite`
+decorator names the suite once, runs the shared connectivity and
+distinct-count preconditions, and builds the CheckReport.  Each check
+compares against the fixed tolerance ladder below; the cluster tolerance of
+the context is the only tolerance a caller sets.
+
 Check functions never hide failures: every numeric claim lands in a
 CheckResult with its residual, and violated *mathematical* preconditions are
 reported as non-applicable results rather than raised, so batch runs can
@@ -45,7 +51,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -62,7 +68,6 @@ from .graph import (
 )
 from .linalg import (
     DEFAULT_CLUSTER_TOL,
-    PredictedSpectrum,
     Spectrum,
     cluster_spectrum,
     jacobi_eigen,
@@ -97,13 +102,20 @@ __all__ = [
     "check_pendant_join_family",
     "IDENTITY_TOL",
     "FUNDAMENTAL_TOL",
+    "FACTORIZATION_TOL",
+    "PENDANT_JOIN_TOL",
     "EIGENVECTOR_TOL",
 ]
 
-# Tolerance ladder.  Identity checks run at 1e-6, the fundamental-property
-# suite at 1e-7 and signed-indicator eigenvector residuals at 1e-12.
+# Tolerance ladder; fixed, because only the cluster tolerance of a context
+# is set by callers.  Identity checks run at 1e-6, the fundamental-property
+# suite at 1e-7, the bipartite factorization at 1e-8, the closed form of the
+# pendant-join family at 1e-9 and signed-indicator eigenvector residuals at
+# 1e-12.
 IDENTITY_TOL = 1e-6
 FUNDAMENTAL_TOL = 1e-7
+FACTORIZATION_TOL = 1e-8
+PENDANT_JOIN_TOL = 1e-9
 EIGENVECTOR_TOL = 1e-12
 
 _ZERO_TOL = 1e-8  # how close the smallest cluster must sit to 0
@@ -245,24 +257,31 @@ class CheckReport:
         }
 
 
-def _precondition_report(suite: str, reason: str, witness: object = None) -> CheckReport:
-    return CheckReport(
-        suite=suite,
-        results=(
-            CheckResult(
-                check="precondition",
-                passed=False,
-                residual=None,
-                witness={"reason": reason, "detail": witness},
-                applicable=False,
-            ),
+def _precondition(reason: str, detail: object = None) -> tuple[CheckResult]:
+    """The one result of a suite whose mathematical precondition fails."""
+    return (
+        CheckResult(
+            check="precondition",
+            passed=False,
+            witness={"reason": reason, "detail": detail},
+            applicable=False,
         ),
     )
 
 
+def _ends_at_zero(spec: Spectrum) -> bool:
+    """Whether the smallest cluster of `spec` sits at 0."""
+    return abs(spec.values[-1]) <= _ZERO_TOL
+
+
+def _spectrum_detail(spec: Spectrum) -> dict:
+    return {"distinct": spec.distinct_count, "values": list(spec.values)}
+
+
 def _suite(name: str, connected: bool = False, distinct: int | None = None):
-    """Turn `fn(ctx, ...)` into the check of suite `name`, which takes a
-    Graph (wrapped in a default SpectralContext) or a context.
+    """Turn `fn(ctx)`, which returns the CheckResults of suite `name`, into
+    the check of that suite: it takes a Graph (wrapped in a default
+    SpectralContext) or a context and returns the CheckReport.
 
     With `connected`, disconnected input raises ValueError: the suite's
     identities are stated for connected graphs only.  With `distinct`, a
@@ -272,19 +291,20 @@ def _suite(name: str, connected: bool = False, distinct: int | None = None):
 
     def decorate(fn):
         @functools.wraps(fn)
-        def check(g: "Graph | SpectralContext", *args, **kwargs) -> CheckReport:
+        def check(g: "Graph | SpectralContext") -> CheckReport:
             ctx = _context(g)
             if connected and not is_connected(ctx.graph):
                 raise ValueError(f"suite {name!r} needs a connected graph")
-            if distinct is not None:
-                spec = ctx.spectrum
-                if spec.distinct_count != distinct or abs(spec.values[-1]) > _ZERO_TOL:
-                    return _precondition_report(
-                        name,
-                        f"need exactly {distinct} distinct L-eigenvalues with smallest 0",
-                        {"distinct": spec.distinct_count, "values": list(spec.values)},
-                    )
-            return fn(ctx, *args, **kwargs)
+            if distinct is not None and not (
+                ctx.spectrum.distinct_count == distinct and _ends_at_zero(ctx.spectrum)
+            ):
+                results = _precondition(
+                    f"need exactly {distinct} distinct L-eigenvalues with smallest 0",
+                    _spectrum_detail(ctx.spectrum),
+                )
+            else:
+                results = fn(ctx)
+            return CheckReport(suite=name, results=tuple(results))
 
         return check
 
@@ -296,10 +316,7 @@ def _suite(name: str, connected: bool = False, distinct: int | None = None):
 
 
 @_suite("lemma22")
-def check_spectrum_fundamentals(
-    ctx: SpectralContext,
-    tol: float = FUNDAMENTAL_TOL,
-) -> CheckReport:
+def check_spectrum_fundamentals(ctx: SpectralContext) -> Sequence[CheckResult]:
     """The nine basic L-eigenvalue properties, suite "lemma22".
 
     With lambda_1 >= ... >= lambda_n the L-eigenvalues: (i) lambda_n = 0;
@@ -318,7 +335,8 @@ def check_spectrum_fundamentals(
     g = ctx.graph
     n = g.n
     if n < 2:
-        return _precondition_report("lemma22", "needs at least 2 vertices")
+        return _precondition("needs at least 2 vertices")
+    tol = FUNDAMENTAL_TOL
     vals = ctx.values  # descending
     iso = int(np.sum(g.degrees() == 0))
     comps = components(g)
@@ -436,7 +454,7 @@ def check_spectrum_fundamentals(
         )
     )
 
-    return CheckReport(suite="lemma22", results=tuple(results))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +462,7 @@ def check_spectrum_fundamentals(
 
 
 @_suite("eq1", connected=True)
-def check_eigenvalue_product(
-    ctx: SpectralContext,
-    tol: float = IDENTITY_TOL,
-) -> CheckReport:
+def check_eigenvalue_product(ctx: SpectralContext) -> Sequence[CheckResult]:
     """Product identity over distinct nonzero eigenvalues, suite "eq1".
 
     For a connected graph with distinct eigenvalues lambda_1..lambda_{s-1}, 0:
@@ -464,13 +479,11 @@ def check_eigenvalue_product(
     """
     g = ctx.graph
     if g.m == 0:
-        return _precondition_report("eq1", "needs at least one edge")
+        return _precondition("needs at least one edge")
     spec = ctx.spectrum
-    if abs(spec.values[-1]) > _ZERO_TOL:
-        return _precondition_report(
-            "eq1",
-            "need the smallest L-eigenvalue cluster to be 0",
-            {"distinct": spec.distinct_count, "values": list(spec.values)},
+    if not _ends_at_zero(spec):
+        return _precondition(
+            "need the smallest L-eigenvalue cluster to be 0", _spectrum_detail(spec)
         )
     nonzero = list(spec.values[:-1])
     s = len(nonzero) + 1
@@ -483,15 +496,12 @@ def check_eigenvalue_product(
     sign = -1.0 if (s - 1) % 2 else 1.0
     rhs = sign * math.prod(nonzero) * np.outer(sqrt_d, sqrt_d) / (2 * g.m)
     residual = float(np.max(np.abs(lhs - rhs)))
-    return CheckReport(
-        suite="eq1",
-        results=(
-            CheckResult(
-                check="product-identity",
-                passed=residual < tol,
-                residual=residual,
-                witness={"distinct": s, "nonzero_values": list(nonzero)},
-            ),
+    return (
+        CheckResult(
+            check="product-identity",
+            passed=residual < IDENTITY_TOL,
+            residual=residual,
+            witness={"distinct": s, "nonzero_values": list(nonzero)},
         ),
     )
 
@@ -501,10 +511,7 @@ def check_eigenvalue_product(
 
 
 @_suite("three-ev", connected=True, distinct=3)
-def check_three_ev_identities(
-    ctx: SpectralContext,
-    tol: float = IDENTITY_TOL,
-) -> CheckReport:
+def check_three_ev_identities(ctx: SpectralContext) -> Sequence[CheckResult]:
     """Entrywise degree identities for spectra {alpha, beta, 0}, suite
     "three-ev".
 
@@ -547,42 +554,38 @@ def check_three_ev_identities(
     adj_res = float(pair_dev[adjacent].max(initial=0.0))
     non_res = float(pair_dev[non_adjacent].max(initial=0.0))
 
-    results = [
+    return [
         CheckResult(
             check="quadratic-identity",
-            passed=quad_res < tol,
+            passed=quad_res < IDENTITY_TOL,
             residual=quad_res,
             witness={"alpha": alpha, "beta": beta},
         ),
         CheckResult(
             check="vertex-inverse-degree-sum",
-            passed=vertex_res < tol,
+            passed=vertex_res < IDENTITY_TOL,
             residual=vertex_res,
             witness={"vertices": n},
         ),
         CheckResult(
             check="common-neighbors-adjacent",
-            passed=adj_res < tol,
+            passed=adj_res < IDENTITY_TOL,
             residual=adj_res if adj_pairs else None,
             witness={"pairs": adj_pairs},
             applicable=adj_pairs > 0,
         ),
         CheckResult(
             check="common-neighbors-nonadjacent",
-            passed=non_res < tol,
+            passed=non_res < IDENTITY_TOL,
             residual=non_res if non_pairs else None,
             witness={"pairs": non_pairs},
             applicable=non_pairs > 0,
         ),
     ]
-    return CheckReport(suite="three-ev", results=tuple(results))
 
 
 @_suite("lemma24", connected=True, distinct=3)
-def check_three_ev_degree_bounds(
-    ctx: SpectralContext,
-    tol: float = IDENTITY_TOL,
-) -> CheckReport:
+def check_three_ev_degree_bounds(ctx: SpectralContext) -> Sequence[CheckResult]:
     """Degree constraints on non-adjacent pairs for spectra {alpha, beta, 0},
     suite "lemma24".
 
@@ -600,7 +603,7 @@ def check_three_ev_degree_bounds(
     results = [
         CheckResult(
             check="beta-at-most-one",
-            passed=beta <= 1 + tol,
+            passed=beta <= 1 + IDENTITY_TOL,
             residual=max(0.0, beta - 1.0),
             witness={"beta": beta},
         )
@@ -626,13 +629,13 @@ def check_three_ev_degree_bounds(
         results.append(
             CheckResult(
                 check="degree-gap-bound",
-                passed=worst <= bound + tol,
+                passed=worst <= bound + IDENTITY_TOL,
                 residual=max(0.0, worst - bound),
                 witness={"bound": bound, "max_gap": worst, "pairs": pairs},
                 applicable=pairs > 0,
             )
         )
-    return CheckReport(suite="lemma24", results=tuple(results))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -640,10 +643,7 @@ def check_three_ev_degree_bounds(
 
 
 @_suite("four-ev", connected=True, distinct=4)
-def check_four_ev_diagonal(
-    ctx: SpectralContext,
-    tol: float = IDENTITY_TOL,
-) -> CheckReport:
+def check_four_ev_diagonal(ctx: SpectralContext) -> Sequence[CheckResult]:
     """Per-vertex diagonal identity for spectra {alpha, beta, gamma, 0},
     suite "four-ev".
 
@@ -669,24 +669,18 @@ def check_four_ev_diagonal(
     lhs = t + (alpha + beta + gamma - 3) * s + (alpha - 1) * (beta - 1) * (gamma - 1) * d
     worst = float(np.max(np.abs(lhs - coef * d**2)))
 
-    return CheckReport(
-        suite="four-ev",
-        results=(
-            CheckResult(
-                check="vertex-diagonal-identity",
-                passed=worst < tol,
-                residual=worst,
-                witness={"alpha": alpha, "beta": beta, "gamma": gamma},
-            ),
+    return (
+        CheckResult(
+            check="vertex-diagonal-identity",
+            passed=worst < IDENTITY_TOL,
+            residual=worst,
+            witness={"alpha": alpha, "beta": beta, "gamma": gamma},
         ),
     )
 
 
 @_suite("four-ev", connected=True)
-def check_bipartite_four_ev(
-    ctx: SpectralContext,
-    tol: float = IDENTITY_TOL,
-) -> CheckReport:
+def check_bipartite_four_ev(ctx: SpectralContext) -> Sequence[CheckResult]:
     """Refined identities for connected bipartite graphs with spectrum
     {2, 2-alpha, alpha, 0}, 0 < alpha < 1; suite "four-ev".
 
@@ -704,19 +698,14 @@ def check_bipartite_four_ev(
         split is not None
         and spec.distinct_count == 4
         and abs(spec.values[0] - 2.0) <= IDENTITY_TOL
-        and abs(spec.values[-1]) <= _ZERO_TOL
+        and _ends_at_zero(spec)
         and abs(spec.values[1] + spec.values[2] - 2.0) <= IDENTITY_TOL
         and 0 < spec.values[2] < 1
     )
     if not shape_ok:
-        return _precondition_report(
-            "four-ev",
+        return _precondition(
             "need a connected bipartite graph with spectrum {2, 2-a, a, 0}",
-            {
-                "bipartite": split is not None,
-                "distinct": spec.distinct_count,
-                "values": list(spec.values),
-            },
+            {"bipartite": split is not None, **_spectrum_detail(spec)},
         )
     alpha = float(spec.values[2])
 
@@ -734,22 +723,19 @@ def check_bipartite_four_ev(
     pair_dev = np.abs(P @ A - coef * np.outer(d, d))
     pair_res = float(pair_dev[same_side].max(initial=0.0))
 
-    return CheckReport(
-        suite="four-ev",
-        results=(
-            CheckResult(
-                check="bipartite-vertex-identity",
-                passed=vertex_res < tol,
-                residual=vertex_res,
-                witness={"alpha": alpha},
-            ),
-            CheckResult(
-                check="bipartite-same-side-pairs",
-                passed=pair_res < tol,
-                residual=pair_res if pairs else None,
-                witness={"pairs": pairs},
-                applicable=pairs > 0,
-            ),
+    return (
+        CheckResult(
+            check="bipartite-vertex-identity",
+            passed=vertex_res < IDENTITY_TOL,
+            residual=vertex_res,
+            witness={"alpha": alpha},
+        ),
+        CheckResult(
+            check="bipartite-same-side-pairs",
+            passed=pair_res < IDENTITY_TOL,
+            residual=pair_res if pairs else None,
+            witness={"pairs": pairs},
+            applicable=pairs > 0,
         ),
     )
 
@@ -783,18 +769,18 @@ def duplicate_class_eigenvector(
 
 
 @_suite("lemma23")
-def check_duplicate_classes(ctx: SpectralContext, tol: float = EIGENVECTOR_TOL) -> CheckReport:
+def check_duplicate_classes(ctx: SpectralContext) -> Sequence[CheckResult]:
     """Verify every duplicate class's predicted eigenvectors, suite "lemma23".
 
     Each class of p vertices with shared neighborhoods contributes p-1
     signed-indicator eigenvectors; the check confirms the eigen-equation
-    residual ||L x - lambda x||_inf < tol for each, and that the predicted
-    eigenvalue appears with multiplicity >= p-1.
+    residual ||L x - lambda x||_inf < EIGENVECTOR_TOL for each, and that the
+    predicted eigenvalue appears with multiplicity >= p-1.
     """
     g = ctx.graph
     classes = duplicate_classes(g)
     if not classes:
-        return _precondition_report("lemma23", "no duplicate classes in the graph")
+        return _precondition("no duplicate classes in the graph")
     bundle = ctx.bundle
     vals = ctx.values
     results = []
@@ -808,7 +794,7 @@ def check_duplicate_classes(ctx: SpectralContext, tol: float = EIGENVECTOR_TOL) 
         results.append(
             CheckResult(
                 check=f"duplicate-class-{idx}",
-                passed=worst < tol and mult >= cls.size - 1,
+                passed=worst < EIGENVECTOR_TOL and mult >= cls.size - 1,
                 residual=worst,
                 witness={
                     "vertices": list(cls.vertices),
@@ -820,7 +806,7 @@ def check_duplicate_classes(ctx: SpectralContext, tol: float = EIGENVECTOR_TOL) 
                 },
             )
         )
-    return CheckReport(suite="lemma23", results=tuple(results))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -859,10 +845,7 @@ class Classification:
         }
 
 
-def classify_three_with_one(
-    g: "Graph | SpectralContext",
-    value_tol: float = IDENTITY_TOL,
-) -> Classification:
+def classify_three_with_one(g: "Graph | SpectralContext") -> Classification:
     """Classify a connected graph whose spectrum has exactly three distinct
     values, one of which is 1; `g` may be a Graph or a SpectralContext.
 
@@ -872,12 +855,12 @@ def classify_three_with_one(
     """
     ctx = _context(g)
     g = ctx.graph
-    if g.n < 3:
-        raise ValueError("classification needs at least 3 vertices")
     if not is_connected(g):
         raise ValueError("classification needs a connected graph")
+    if g.n < 3:
+        raise ValueError("classification needs at least 3 vertices")
     spec = ctx.spectrum
-    has_one = any(abs(v - 1.0) <= value_tol for v in spec.values)
+    has_one = any(abs(v - 1.0) <= IDENTITY_TOL for v in spec.values)
     condition = spec.distinct_count == 3 and has_one
     parts = is_complete_multipartite(g)
     verdict = "NotInClass"
@@ -900,10 +883,7 @@ def classify_three_with_one(
 
 
 @_suite("thm21")
-def check_classification(
-    ctx: SpectralContext,
-    value_tol: float = IDENTITY_TOL,
-) -> CheckReport:
+def check_classification(ctx: SpectralContext) -> Sequence[CheckResult]:
     """Cross-check the 3-eigenvalue classification, suite "thm21".
 
     Asserts the if-and-only-if between the spectral condition (3 distinct
@@ -918,8 +898,8 @@ def check_classification(
 
     g = ctx.graph
     if g.n < 3 and is_connected(g):
-        return _precondition_report("thm21", "needs at least 3 vertices")
-    cls = classify_three_with_one(ctx, value_tol)
+        return _precondition("needs at least 3 vertices")
+    cls = classify_three_with_one(ctx)
     spec = cls.spectrum
     condition = cls.distinct_count == 3 and cls.has_one
     results = [
@@ -952,8 +932,8 @@ def check_classification(
     )
     is_cb = cls.verdict == "CompleteBipartite"
     shape_values_ok = (
-        abs(spec.values[0] - 2.0) <= value_tol
-        and abs(spec.values[1] - 1.0) <= value_tol
+        abs(spec.values[0] - 2.0) <= IDENTITY_TOL
+        and abs(spec.values[1] - 1.0) <= IDENTITY_TOL
         if pattern
         else True
     )
@@ -965,11 +945,11 @@ def check_classification(
             applicable=cls.distinct_count == 3,
         )
     )
-    return CheckReport(suite="thm21", results=tuple(results))
+    return results
 
 
 @_suite("cor20", connected=True)
-def check_second_least_one(ctx: SpectralContext, tol: float = IDENTITY_TOL) -> CheckReport:
+def check_second_least_one(ctx: SpectralContext) -> Sequence[CheckResult]:
     """Second-least eigenvalue criterion, suite "cor20".
 
     For a connected non-complete graph the second-least L-eigenvalue is at
@@ -978,35 +958,32 @@ def check_second_least_one(ctx: SpectralContext, tol: float = IDENTITY_TOL) -> C
     """
     g = ctx.graph
     if g.m == g.n * (g.n - 1) // 2:
-        return _precondition_report("cor20", "complete graphs are excluded")
+        return _precondition("complete graphs are excluded")
     vals = ctx.values
     second_least = float(vals[-2])
     parts = is_complete_multipartite(g)
-    at_one = abs(second_least - 1.0) <= tol
-    return CheckReport(
-        suite="cor20",
-        results=(
-            CheckResult(
-                check="second-least-at-most-one",
-                passed=second_least <= 1 + tol,
-                residual=max(0.0, second_least - 1.0),
-                witness={"second_least": second_least},
-            ),
-            CheckResult(
-                check="equality-iff-multipartite",
-                passed=at_one == (parts is not None),
-                residual=abs(second_least - 1.0) if parts is not None else None,
-                witness={
-                    "second_least": second_least,
-                    "parts": list(parts) if parts else None,
-                },
-            ),
+    at_one = abs(second_least - 1.0) <= IDENTITY_TOL
+    return (
+        CheckResult(
+            check="second-least-at-most-one",
+            passed=second_least <= 1 + IDENTITY_TOL,
+            residual=max(0.0, second_least - 1.0),
+            witness={"second_least": second_least},
+        ),
+        CheckResult(
+            check="equality-iff-multipartite",
+            passed=at_one == (parts is not None),
+            residual=abs(second_least - 1.0) if parts is not None else None,
+            witness={
+                "second_least": second_least,
+                "parts": list(parts) if parts else None,
+            },
         ),
     )
 
 
 @_suite("cor21")
-def check_bipartite_duplicate_parity(ctx: SpectralContext) -> CheckReport:
+def check_bipartite_duplicate_parity(ctx: SpectralContext) -> Sequence[CheckResult]:
     """Distinct-eigenvalue parity for bipartite graphs with duplicate
     vertices, suite "cor21".
 
@@ -1017,23 +994,16 @@ def check_bipartite_duplicate_parity(ctx: SpectralContext) -> CheckReport:
     """
     g = ctx.graph
     if bipartite_split(g) is None:
-        return _precondition_report("cor21", "graph is not bipartite")
+        return _precondition("graph is not bipartite")
     indep = [c for c in duplicate_classes(g) if c.kind == "independent"]
     if not indep:
-        return _precondition_report("cor21", "no independent duplicate class")
+        return _precondition("no independent duplicate class")
     spec = ctx.spectrum
-    return CheckReport(
-        suite="cor21",
-        results=(
-            CheckResult(
-                check="odd-distinct-count",
-                passed=spec.distinct_count % 2 == 1,
-                witness={
-                    "distinct": spec.distinct_count,
-                    "values": list(spec.values),
-                    "classes": [list(c.vertices) for c in indep],
-                },
-            ),
+    return (
+        CheckResult(
+            check="odd-distinct-count",
+            passed=spec.distinct_count % 2 == 1,
+            witness={**_spectrum_detail(spec), "classes": [list(c.vertices) for c in indep]},
         ),
     )
 
@@ -1047,43 +1017,45 @@ class BipartiteFactorization:
     """Half-matrix factorization of a bipartite graph's L-spectrum.
 
     B is the n1 x n2 biadjacency block (n1 <= n2) over the stored vertex
-    orders, Bstar = D1^{-1/2} B D2^{-1/2}, and xi holds the descending
-    eigenvalues of Bstar Bstar^T.  The L-spectrum equals
+    orders and xi holds the descending eigenvalues of Bstar Bstar^T, where
+    Bstar = D1^{-1/2} B D2^{-1/2}.  The L-spectrum equals
     {1 +/- sqrt(xi_i)} together with 1 repeated n2 - n1 times.
     """
 
     split: BipartiteSplit
     B: np.ndarray
-    Bstar: np.ndarray
     xi: np.ndarray
     part1_vertices: tuple[int, ...]
     part2_vertices: tuple[int, ...]
 
-    def predicted_values(self) -> np.ndarray:
-        """The implied L-eigenvalues, descending."""
-        roots = np.sqrt(np.maximum(self.xi, 0.0))
-        ones = np.ones(len(self.part2_vertices) - len(self.part1_vertices))
-        return np.sort(np.concatenate([1.0 + roots, 1.0 - roots, ones]))[::-1]
+    def predicted_signed_squares(self) -> np.ndarray:
+        """(lambda - 1)|lambda - 1| over the implied L-eigenvalues lambda,
+        descending: each xi_i, each -xi_i, and n2 - n1 zeros.  No square
+        root is taken, which would turn a rounding error of 1e-16 in a zero
+        xi_i into 1e-8."""
+        zeros = np.zeros(len(self.part2_vertices) - len(self.part1_vertices))
+        return np.sort(np.concatenate([self.xi, -self.xi, zeros]))[::-1]
 
 
-def bipartite_factorization(g: Graph) -> BipartiteFactorization:
+def bipartite_factorization(g: "Graph | SpectralContext") -> BipartiteFactorization:
     """Factor the spectrum of a bipartite graph through its biadjacency
-    block.
+    block; `g` may be a Graph or a SpectralContext, whose A and D it reads.
 
     Requires a bipartite graph without isolated vertices (their zero degree
     has no normalized block row).  The smaller side is always part 1.
     """
+    ctx = _context(g)
+    g = ctx.graph
     split = bipartite_split(g)
     if split is None:
         raise ValueError("graph is not bipartite")
-    if np.any(g.degrees() == 0):
+    A, d = ctx.bundle.A, ctx.bundle.D
+    if np.any(d == 0):
         raise ValueError("isolated vertices have no normalized biadjacency row")
     side1, side2 = split.sides(g.n)
     if len(side1) > len(side2):
         side1, side2 = side2, side1
         split = BipartiteSplit(part1=split.part2, part2=split.part1)
-    A = g.adjacency_matrix()
-    d = g.degrees().astype(float)
     B = A[np.ix_(side1, side2)]
     Bstar = B / np.sqrt(np.outer(d[side1], d[side2]))
     gram = Bstar @ Bstar.T
@@ -1091,7 +1063,6 @@ def bipartite_factorization(g: Graph) -> BipartiteFactorization:
     return BipartiteFactorization(
         split=split,
         B=B,
-        Bstar=Bstar,
         xi=xi,
         part1_vertices=tuple(side1),
         part2_vertices=tuple(side2),
@@ -1099,34 +1070,34 @@ def bipartite_factorization(g: Graph) -> BipartiteFactorization:
 
 
 @_suite("bipartite-factorization")
-def check_bipartite_factorization(ctx: SpectralContext, tol: float = 1e-8) -> CheckReport:
+def check_bipartite_factorization(ctx: SpectralContext) -> Sequence[CheckResult]:
     """Compare the factorized eigenvalues against the direct L-spectrum,
-    suite "bipartite-factorization"."""
+    suite "bipartite-factorization".
+
+    The residual is the largest deviation of (lambda - 1)|lambda - 1| over
+    the direct eigenvalues lambda from the factorization's +/- xi_i and
+    zeros, both sorted; this map is increasing, so it pairs the same
+    eigenvalues as comparing lambda with 1 +/- sqrt(xi_i) would.
+    """
     g = ctx.graph
     if g.n == 0:
-        return _precondition_report("bipartite-factorization", "graph has no vertices")
+        return _precondition("graph has no vertices")
     if bipartite_split(g) is None:
-        return _precondition_report("bipartite-factorization", "graph is not bipartite")
+        return _precondition("graph is not bipartite")
     if np.any(g.degrees() == 0):
-        return _precondition_report(
-            "bipartite-factorization", "graph has isolated vertices"
-        )
-    fact = bipartite_factorization(g)
-    predicted = fact.predicted_values()
-    direct = ctx.values
-    dev = float(np.max(np.abs(predicted - direct)))
-    return CheckReport(
-        suite="bipartite-factorization",
-        results=(
-            CheckResult(
-                check="eigenvalue-multiset",
-                passed=dev < tol,
-                residual=dev,
-                witness={
-                    "n1": len(fact.part1_vertices),
-                    "n2": len(fact.part2_vertices),
-                },
-            ),
+        return _precondition("graph has isolated vertices")
+    fact = bipartite_factorization(ctx)
+    shifted = ctx.values - 1.0
+    dev = float(np.max(np.abs(shifted * np.abs(shifted) - fact.predicted_signed_squares())))
+    return (
+        CheckResult(
+            check="eigenvalue-multiset",
+            passed=dev < FACTORIZATION_TOL,
+            residual=dev,
+            witness={
+                "n1": len(fact.part1_vertices),
+                "n2": len(fact.part2_vertices),
+            },
         ),
     )
 
@@ -1135,7 +1106,7 @@ def check_bipartite_factorization(ctx: SpectralContext, tol: float = 1e-8) -> Ch
 # apex-plus-pendant family
 
 
-def check_pendant_join_family(t: int, tol: float = 1e-9) -> CheckReport:
+def check_pendant_join_family(t: int) -> CheckReport:
     """Build the order-8t apex-plus-pendant bipartite family member and
     verify its structure and exact four-value spectrum, suite "thm41".
 
@@ -1147,7 +1118,7 @@ def check_pendant_join_family(t: int, tol: float = 1e-9) -> CheckReport:
     g, split = families.pendant_join_family(t)
     pred = families.predicted_pendant_join_spectrum(t)
     spec = l_spectrum(g)
-    ok, dev = spectra_match(spec, pred, tol)
+    ok, dev = spectra_match(spec, pred, PENDANT_JOIN_TOL)
     degs = g.degrees()
     structure_ok = (
         g.n == 8 * t

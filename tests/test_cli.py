@@ -524,6 +524,14 @@ def test_verify_rejects_disconnected_for_eq1(capsys, monkeypatch):
     assert code == 2 and "connected" in err
 
 
+def test_verify_thm21_names_disconnection_before_order(capsys):
+    # two isolated vertices: too small and disconnected; the fault is the
+    # disconnection, since a connected graph of that order is inapplicable
+    code, _, err = run(capsys, "verify", "thm21", "A?")
+    assert code == 2
+    assert err == "error: classification needs a connected graph\n"
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "lemma99", "C4"])

@@ -18,9 +18,10 @@ from speclap.families import (
     path,
     unicyclic,
 )
-from speclap.graph import Graph, bipartite_split, duplicate_classes, from_edge_list
+from speclap.graph import Graph, bipartite_split, duplicate_classes, from_edge_list, from_graph6
 from speclap.linalg import cluster_spectrum
 from speclap.nlspec import (
+    FACTORIZATION_TOL,
     SUITES,
     SpectralContext,
     adjacency_spectrum,
@@ -582,9 +583,25 @@ def test_bipartite_factorization_structure():
     f = bipartite_factorization(g)
     assert f.B.shape == (2, 4)
     assert len(f.xi) == 2
-    predicted = f.predicted_values()
-    computed = np.sort(l_spectrum(g).expand())
-    assert np.allclose(np.sort(predicted), computed, atol=1e-10)
+    assert np.allclose(f.xi, [1.0, 0.0], atol=1e-12)
+    shifted = l_spectrum(g).expand() - 1.0  # descending
+    assert np.allclose(f.predicted_signed_squares(), shifted * np.abs(shifted), atol=1e-10)
+
+
+@pytest.mark.parametrize("g6", ["F?~q?", "FFw`?"])
+def test_bipartite_factorization_zero_xi_is_not_amplified(g6):
+    # atlas graphs with a Gram eigenvalue xi of about 1e-16 where the exact
+    # value is 0: 1 +/- sqrt(xi) is off by about 1e-8, over the tolerance,
+    # while (lambda - 1)|lambda - 1| against +/- xi is not
+    g = from_graph6(g6)
+    f = bipartite_factorization(g)
+    roots = np.sqrt(np.maximum(f.xi, 0.0))
+    ones = np.ones(len(f.part2_vertices) - len(f.part1_vertices))
+    by_roots = np.sort(np.concatenate([1.0 + roots, 1.0 - roots, ones]))[::-1]
+    assert np.max(np.abs(by_roots - SpectralContext(g).values)) > FACTORIZATION_TOL
+    report = check_bipartite_factorization(g)
+    assert report.applicable and report.passed
+    assert report.result("eigenvalue-multiset").residual < 1e-12
 
 
 def test_bipartite_factorization_requires_bipartite():
@@ -645,6 +662,18 @@ def test_classification_json_shape():
 # -- spectral context and suite registry -----------------------------------
 
 
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_report_carries_its_registry_name(name):
+    # K1, P4, C5, K_{2,3} and the unicyclic members C6 and C7: each suite
+    # reports some of them as applicable and some as not, under one name
+    reports = [
+        SUITES[name](SpectralContext(parse_family(token)))
+        for token in ["K1", "P4", "C5", "Kmulti:2,3", "U13", "U14"]
+    ]
+    assert [r.suite for r in reports] == [name] * len(reports)
+    assert {r.applicable for r in reports} == {True, False}
+
+
 @pytest.mark.parametrize("token", ["P4", "Kmulti:2,3", "U2:1"])
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_suite_assembles_and_solves_l_once(name, token, monkeypatch):
@@ -670,9 +699,9 @@ def test_suite_assembles_and_solves_l_once(name, token, monkeypatch):
     monkeypatch.setattr(Graph, "adjacency_matrix", counting_adjacency)
     SUITES[name](SpectralContext(g))
     assert len(built) <= 1
-    # the suites read A from the context's bundle; the factorization builds
-    # its biadjacency block from a second copy
-    assert len(adjacency) <= 1 + (name == "bipartite-factorization")
+    # every suite, the factorization's biadjacency block included, reads A
+    # from the context's bundle
+    assert len(adjacency) <= 1
     assert solved.count(g.n) <= 1
     # besides L, only the factorization suite solves a matrix: the smaller
     # Gram matrix of the biadjacency block
