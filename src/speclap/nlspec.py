@@ -119,6 +119,7 @@ PENDANT_JOIN_TOL = 1e-9
 EIGENVECTOR_TOL = 1e-12
 
 _ZERO_TOL = 1e-8  # how close the smallest cluster must sit to 0
+_MERGE_TOL = 1e-8  # the widest eigenvalue gap a cluster may close
 _BRANCH_TOL = 1e-9  # deciding beta == 1 vs beta < 1
 
 
@@ -278,6 +279,21 @@ def _spectrum_detail(spec: Spectrum) -> dict:
     return {"distinct": spec.distinct_count, "values": list(spec.values)}
 
 
+def _merged(ctx: SpectralContext) -> tuple[CheckResult] | None:
+    """The precondition result of a context whose cluster tolerance merges
+    distinct L-eigenvalues (closes a gap between neighbouring eigenvalues
+    wider than _MERGE_TOL), else None.  An identity over the distinct
+    eigenvalues says nothing about merged clusters."""
+    gaps = -np.diff(ctx.values)
+    merged = gaps[(gaps > _MERGE_TOL) & (gaps <= ctx.cluster_tol)]
+    if not merged.size:
+        return None
+    return _precondition(
+        "need the cluster tolerance to keep distinct L-eigenvalues apart",
+        {**_spectrum_detail(ctx.spectrum), "merged_gap": float(merged.max())},
+    )
+
+
 def _suite(name: str, connected: bool = False, distinct: int | None = None):
     """Turn `fn(ctx)`, which returns the CheckResults of suite `name`, into
     the check of that suite: it takes a Graph (wrapped in a default
@@ -285,8 +301,9 @@ def _suite(name: str, connected: bool = False, distinct: int | None = None):
 
     With `connected`, disconnected input raises ValueError: the suite's
     identities are stated for connected graphs only.  With `distinct`, a
-    spectrum without exactly that many distinct values, smallest 0, yields a
-    precondition report instead of running `fn`.
+    spectrum without exactly that many distinct values, smallest 0, or one
+    whose clusters merge distinct eigenvalues, yields a precondition report
+    instead of running `fn`.
     """
 
     def decorate(fn):
@@ -295,15 +312,15 @@ def _suite(name: str, connected: bool = False, distinct: int | None = None):
             ctx = _context(g)
             if connected and not is_connected(ctx.graph):
                 raise ValueError(f"suite {name!r} needs a connected graph")
-            if distinct is not None and not (
-                ctx.spectrum.distinct_count == distinct and _ends_at_zero(ctx.spectrum)
-            ):
+            if distinct is None:
+                results = fn(ctx)
+            elif not (ctx.spectrum.distinct_count == distinct and _ends_at_zero(ctx.spectrum)):
                 results = _precondition(
                     f"need exactly {distinct} distinct L-eigenvalues with smallest 0",
                     _spectrum_detail(ctx.spectrum),
                 )
             else:
-                results = fn(ctx)
+                results = _merged(ctx) or fn(ctx)
             return CheckReport(suite=name, results=tuple(results))
 
         return check
@@ -473,9 +490,10 @@ def check_eigenvalue_product(ctx: SpectralContext) -> Sequence[CheckResult]:
     The lambda_i are the nonzero clusters of the context's spectrum; a
     spectrum with wrong values makes the residual blow up, which is the
     converse direction of the identity.  A graph without edges (K1) has no
-    2m to divide by, and a smallest cluster away from 0 (a cluster tolerance
-    too wide to separate it) leaves no zero to drop; both get a
-    precondition report.
+    2m to divide by, a smallest cluster away from 0 (a cluster tolerance
+    too wide to separate it) leaves no zero to drop, and clusters that merge
+    distinct eigenvalues are not the lambda_i; each gets a precondition
+    report.
     """
     g = ctx.graph
     if g.m == 0:
@@ -485,6 +503,8 @@ def check_eigenvalue_product(ctx: SpectralContext) -> Sequence[CheckResult]:
         return _precondition(
             "need the smallest L-eigenvalue cluster to be 0", _spectrum_detail(spec)
         )
+    if merged := _merged(ctx):
+        return merged
     nonzero = list(spec.values[:-1])
     s = len(nonzero) + 1
     bundle = ctx.bundle

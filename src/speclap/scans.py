@@ -11,17 +11,21 @@ Three searches back the package's classification checks with brute force:
   bound, tabulated by distinct-eigenvalue count.
 
 The first two walk isomorphism classes, not labeled graphs.
-`connected_classes` builds them order by order: each class on n - 1
-vertices plus a new vertex joined to one subset of its vertices per orbit
-of the class's automorphism group, deduplicated by canonical code.  The
+`connected_classes` builds them order by order by canonical augmentation:
+each class on n - 1 vertices gets a new vertex joined to one subset of its
+vertices per orbit of its automorphism group, and a child is kept only if
+its new vertex is in the orbit of its canonical deletion vertex, so each
+class comes out once, from one parent, without a dedup.  The canonical
 code comes from colour refinement plus an individualization search over
 bitmask adjacency rows that prunes with the automorphisms it finds.  The
 refinement counts neighbours only in the cells that changed (the
 individualized vertex, then all but the last part of each cell that
 split), which splits the same cells in the same order as counting them in
-every cell.  The search also returns |Aut| and generators of Aut, so the
-labeled counts come out as sums of n!/|Aut| and the next order's subsets
-can be taken one per orbit.  The unicyclic family members are pairwise
+every cell.  The search also returns |Aut|, generators of Aut and the
+canonical order; each class keeps its rows and generators in that order,
+so the labeled counts come out as sums of n!/|Aut|, the next order's
+subsets can be taken one per orbit, and the scans solve the rows as they
+are.  The unicyclic family members are pairwise
 non-isomorphic already.  One driver takes all three: it solves each
 order's graphs in one batched dense eigensolve, nominates rows with a
 vectorized clustered-gap predicate, and clusters each nominated row into
@@ -37,15 +41,15 @@ logged as borderline.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .families import all_unicyclic_specs, unicyclic
-from .graph import Graph, bipartite_split, from_edge_list, to_graph6
+from .graph import Graph, bipartite_split, to_graph6
 from .linalg import DEFAULT_CLUSTER_TOL, Spectrum, cluster_spectrum, format_value
 
 __all__ = [
@@ -220,10 +224,12 @@ def _leaf_code(adj: tuple[int, ...], cells: list[int]) -> int:
     return code
 
 
-def _canonical_search(adj: tuple[int, ...]) -> tuple[int, int, list[tuple[int, ...]]]:
-    """Canonical code, automorphism group order and generators of Aut (each
-    a tuple mapping vertex v to perm[v]) of the graph with adjacency rows
-    `adj`.
+def _canonical_search(
+    adj: tuple[int, ...],
+) -> tuple[int, int, list[tuple[int, ...]], list[int]]:
+    """Canonical code, automorphism group order, generators of Aut (each a
+    tuple mapping vertex v to perm[v]) and canonical order (the vertex that
+    becomes vertex i, for each i) of the graph with adjacency rows `adj`.
 
     Individualization-refinement with automorphism pruning (McKay &
     Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 60, 2014):
@@ -309,7 +315,7 @@ def _canonical_search(adj: tuple[int, ...]) -> tuple[int, int, list[tuple[int, .
 
     everything = (1 << n) - 1
     search(_refine(adj, [everything], [everything]), (), True)
-    return best[0], aut, gens
+    return best[0], aut, gens, best[2]
 
 
 def canonical_form(g: Graph) -> int:
@@ -317,44 +323,56 @@ def canonical_form(g: Graph) -> int:
 
     The code is the adjacency bitstring of a canonical relabeling: the
     upper-triangle pairs (0,1), (0,2), ..., (1,2), ... with the first pair
-    most significant (`_graph_of_code` decodes it).  Guarded to n <= 8,
-    the orders of the connected scan.
+    most significant.  Guarded to n <= 8, the orders of the connected scan.
     """
     if g.n > 8:
         raise ValueError("canonical_form is limited to n <= 8")
     return _canonical_search(g.adj)[0] if g.n else 0
 
 
-def _graph_of_code(n: int, code: int) -> Graph:
-    """The graph on n vertices whose canonical code is `code`, in its
-    canonical labeling."""
-    pairs = list(itertools.combinations(range(n), 2))
-    return from_edge_list(
-        n, [pair for k, pair in enumerate(pairs) if code >> (len(pairs) - 1 - k) & 1]
-    )
+class _Class(NamedTuple):
+    """One isomorphism class: its canonical code, |Aut|, its adjacency rows
+    in the canonical labeling (the rows whose code is `code`) and generators
+    of Aut in that labeling."""
+
+    code: int
+    aut: int
+    rows: tuple[int, ...]
+    gens: list[tuple[int, ...]]
 
 
 def connected_classes(n_max: int, bipartite: bool = False) -> dict[int, dict[int, int]]:
     """{n: {canonical code: |Aut|}} over the isomorphism classes of
     connected graphs on n = 1..n_max <= 8 vertices, or of connected
-    bipartite graphs on n = 1..n_max <= 10 vertices if `bipartite`.
+    bipartite graphs on n = 1..n_max <= 10 vertices if `bipartite`, each
+    level in ascending code order.
 
-    Level n is each level n-1 class plus a new vertex joined to a nonempty
-    subset of its vertices, deduplicated by canonical code.  That reaches
-    every class, because every connected graph has a vertex whose deletion
-    leaves it connected (a leaf of a spanning tree).  With `bipartite`, only
-    subsets of one side are joined, since a subset meeting both sides would
-    close an odd cycle; the same vertex deletion leaves a connected
-    bipartite graph, so no class is lost.  Subsets in one orbit of the
-    parent's automorphism group give isomorphic graphs, so only the least
-    subset of each orbit is joined.  This is McKay's vertex augmentation
-    ("Isomorph-free exhaustive generation", J. Algorithms 26, 1998) with
-    dedup by canonical code in place of the canonical-deletion test.
+    Level n comes from level n-1 by McKay's canonical augmentation
+    ("Isomorph-free exhaustive generation", J. Algorithms 26, 1998): each
+    class gets a new vertex joined to the least subset of each orbit of its
+    automorphism group on nonempty vertex subsets, and a child is kept only
+    if the new vertex is in the orbit of its canonical deletion vertex (see
+    `_extend`).
+    Every connected graph has a vertex whose deletion leaves it connected (a
+    leaf of a spanning tree), so every class has a canonical parent, and it
+    comes out once, from that parent, with the least subset of that orbit.
+    With `bipartite`, only subsets of one side are joined, since a subset
+    meeting both sides would close an odd cycle; deleting a vertex keeps a
+    graph bipartite, so no class is lost.
     """
+    return {
+        n: {c.code: c.aut for c in level}
+        for n, level in _class_levels(n_max, bipartite).items()
+    }
+
+
+def _class_levels(n_max: int, bipartite: bool = False) -> dict[int, list[_Class]]:
+    """The classes of `connected_classes`, with their canonical rows and
+    automorphism generators."""
     cap = 10 if bipartite else 8
     if not 1 <= n_max <= cap:
         raise ValueError(f"n_max must be in 1..{cap}")
-    levels = {1: {0: 1}}  # K1
+    levels = {1: [_Class(0, 1, (0,), [])]}  # K1
     for n in range(2, n_max + 1):
         levels[n] = _extend(n - 1, levels[n - 1], bipartite)
     return levels
@@ -393,25 +411,114 @@ def _orbit_minima(subsets, gens: list[tuple[int, ...]]):
                     stack.append(image)
 
 
-def _extend(m: int, level: dict, bipartite: bool) -> dict:
-    """The classes on m + 1 vertices reached from the classes in `level`;
-    insertion order is that of the least (parent, subset) reaching each."""
+def _is_cut_vertex(adj: tuple[int, ...], v: int) -> bool:
+    """Whether deleting v disconnects the connected graph with rows `adj`."""
+    rest = ((1 << len(adj)) - 1) ^ (1 << v)
+    seen = frontier = rest & -rest
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reach |= adj[low.bit_length() - 1]
+        frontier = reach & rest & ~seen
+        seen |= frontier
+    return seen != rest
+
+
+def _rivals(adj: tuple[int, ...]) -> list[int] | None:
+    """None if a non-cut vertex of the connected graph with rows `adj`
+    outranks its last vertex, else the other non-cut vertices that tie with
+    it.  Vertices rank by degree, then by the sum of their neighbours'
+    degrees; the last vertex is never a cut vertex."""
+    m = len(adj) - 1
+    deg = [row.bit_count() for row in adj]
+
+    def neighbour_degrees(v: int) -> int:
+        total, row = 0, adj[v]
+        while row:
+            low = row & -row
+            row ^= low
+            total += deg[low.bit_length() - 1]
+        return total
+
+    ties = []
+    key = None
+    for v in range(m):
+        if deg[v] < deg[m]:
+            continue
+        if deg[v] == deg[m]:
+            key = neighbour_degrees(m) if key is None else key
+            other = neighbour_degrees(v)
+            if other < key:
+                continue
+            if other == key:
+                if not _is_cut_vertex(adj, v):
+                    ties.append(v)
+                continue
+        if not _is_cut_vertex(adj, v):
+            return None
+    return ties
+
+
+def _in_orbit(u: int, v: int, gens: list[tuple[int, ...]]) -> bool:
+    """Whether the group generated by `gens` maps u to v."""
+    seen = {u}
+    stack = [u]
+    while stack:
+        w = stack.pop()
+        for perm in gens:
+            if perm[w] not in seen:
+                seen.add(perm[w])
+                stack.append(perm[w])
+    return v in seen
+
+
+def _extend(m: int, level: list[_Class], bipartite: bool) -> list[_Class]:
+    """The classes on m + 1 vertices whose canonical parent is in `level`,
+    in ascending code order.
+
+    A child's new vertex m is never a cut vertex: deleting it leaves the
+    parent.  The child is kept only if m lies in the Aut-orbit of its
+    canonical deletion vertex: among the non-cut vertices of highest rank
+    (see `_rivals`), the one that comes first in the canonical order.  A
+    child in which another non-cut vertex outranks m is dropped before any
+    search; otherwise the search that gives the child's code and
+    automorphisms also settles a tie."""
     new_bit = 1 << m
-    out: dict[int, int] = {}
-    for code in level:
-        g = _graph_of_code(m, code)
+    out = []
+    for parent in level:
         if bipartite:
-            split = bipartite_split(g)
+            split = bipartite_split(Graph(m, parent.rows))
             subsets = sorted(_submasks(split.part1) + _submasks(split.part2))
         else:
             subsets = range(1, new_bit)
-        for subset in _orbit_minima(subsets, _canonical_search(g.adj)[2]):
+        for subset in _orbit_minima(subsets, parent.gens):
             adj = tuple(
-                row | new_bit if subset >> v & 1 else row for v, row in enumerate(g.adj)
+                row | new_bit if subset >> v & 1 else row for v, row in enumerate(parent.rows)
             ) + (subset,)
-            canonical, aut, _ = _canonical_search(adj)
-            out.setdefault(canonical, aut)
+            ties = _rivals(adj)
+            if ties is None:
+                continue
+            code, aut, gens, order = _canonical_search(adj)
+            if ties:
+                first = next(v for v in order if v == m or v in ties)
+                if first != m and not _in_orbit(m, first, gens):
+                    continue
+            out.append(_Class(code, aut, *_relabel(adj, order, gens)))
+    out.sort(key=lambda c: c.code)
     return out
+
+
+def _relabel(
+    adj: tuple[int, ...], order: list[int], gens: list[tuple[int, ...]]
+) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """Adjacency rows and permutations with vertex order[i] renamed i."""
+    position = [0] * len(order)
+    for i, v in enumerate(order):
+        position[v] = i
+    rows = tuple(sum(1 << i for i, u in enumerate(order) if adj[v] >> u & 1) for v in order)
+    return rows, [tuple(position[perm[v]] for v in order) for perm in gens]
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +594,10 @@ class ScanReport:
 # nomination by batched eigensolve
 
 
-def _batched_l_values(graphs: list[Graph], n: int) -> np.ndarray:
-    """Ascending L-eigenvalues, one row per graph on n vertices."""
-    rows = np.array([g.adj for g in graphs], dtype=np.int64)
+def _batched_l_values(adjs: list[tuple[int, ...]], n: int) -> np.ndarray:
+    """Ascending L-eigenvalues, one row per graph on n vertices given by its
+    adjacency rows."""
+    rows = np.array(adjs, dtype=np.int64)
     A = ((rows[:, :, None] >> np.arange(n)[None, None, :]) & 1).astype(float)
     d = A.sum(axis=2)
     s = np.where(d > 0, 1.0 / np.sqrt(np.maximum(d, 1.0)), 0.0)
@@ -513,16 +621,16 @@ def _hit(
 
 
 def _scan_order(
-    graphs: list[Graph],
+    adjs: list[tuple[int, ...]],
     predicate: SpectrumPredicate | None,
     cluster_tol: float,
     borderline_log: list[dict],
     labels: list[str] | None = None,
 ) -> tuple[list[tuple[int, Spectrum]], np.ndarray, np.ndarray]:
-    """Test `graphs` (any mix of orders) against the predicate with one
-    batched eigensolve per order; returns the matches as (index, spectrum)
-    pairs in input order, the nominated mask and each graph's distinct
-    count.  No predicate nominates every graph.
+    """Test the graphs with adjacency rows `adjs` (any mix of orders)
+    against the predicate with one batched eigensolve per order; returns the
+    matches as (index, spectrum) pairs in input order, the nominated mask
+    and each graph's distinct count.  No predicate nominates every graph.
 
     A nominated graph's clustered eigenvalue row must also pass
     `predicate.matches`.  A graph with a neighbouring gap in the window
@@ -530,12 +638,12 @@ def _scan_order(
     the two values cluster, is tested the same way whether or not it was
     nominated, and logged under its label if given, else with its
     nomination."""
-    orders = np.array([g.n for g in graphs])
-    nominated, ambiguous, distinct = (np.zeros(len(graphs), dtype=t) for t in (bool, bool, int))
+    orders = np.array([len(adj) for adj in adjs])
+    nominated, ambiguous, distinct = (np.zeros(len(adjs), dtype=t) for t in (bool, bool, int))
     row_of: dict[int, np.ndarray] = {}
-    for n in {g.n for g in graphs}:  # not np.unique: it imports numpy.ma (~1 MB)
+    for n in set(orders.tolist()):  # not np.unique: it imports numpy.ma (~1 MB)
         rows = np.flatnonzero(orders == n)
-        vals = _batched_l_values([graphs[i] for i in rows], n)
+        vals = _batched_l_values([adjs[i] for i in rows], n)
         nominated[rows] = True if predicate is None else predicate.matches_batch(vals, cluster_tol)
         gaps = np.diff(vals, axis=1)
         ambiguous[rows] = ((gaps >= cluster_tol / 10) & (gaps <= cluster_tol * 10)).any(axis=1)
@@ -548,10 +656,11 @@ def _scan_order(
         matched = predicate is None or predicate.matches(spec)
         if ambiguous[i]:
             note = {"label": labels[i]} if labels else {"fast_route_candidate": bool(nominated[i])}
+            g = Graph(len(adjs[i]), adjs[i])
             borderline_log.append(
                 {
-                    "n": graphs[i].n,
-                    "graph6": to_graph6(graphs[i]),
+                    "n": g.n,
+                    "graph6": to_graph6(g),
                     "distinct_count": spec.distinct_count,
                     "matched": matched,
                     **note,
@@ -564,19 +673,20 @@ def _scan_order(
 
 def _scan_classes(
     n: int,
-    codes: list[int],
+    classes: list[_Class],
     predicate: SpectrumPredicate,
     cluster_tol: float,
     hits: dict,
     borderline_log: list[dict],
 ) -> dict:
-    """Fold the classes with canonical codes `codes` on n vertices that
-    match the predicate into `hits`; returns the counts."""
-    graphs = [_graph_of_code(n, code) for code in codes]
-    matches, nominated, _ = _scan_order(graphs, predicate, cluster_tol, borderline_log)
+    """Fold the `classes` on n vertices that match the predicate into
+    `hits`; returns the counts."""
+    adjs = [c.rows for c in classes]
+    matches, nominated, _ = _scan_order(adjs, predicate, cluster_tol, borderline_log)
     for i, spec in matches:
-        hits[(n, codes[i])] = _hit(graphs[i], codes[i], spec)
-    return {"eigensolved": len(codes), "candidates": int(nominated.sum()), "hits": len(matches)}
+        code = classes[i].code
+        hits[(n, code)] = _hit(Graph(n, adjs[i]), code, spec)
+    return {"eigensolved": len(classes), "candidates": int(nominated.sum()), "hits": len(matches)}
 
 
 def _finish_report(
@@ -625,10 +735,10 @@ def scan_connected(
     counts = {
         str(n): {
             "scanned": len(level),
-            "connected": sum(math.factorial(n) // aut for aut in level.values()),
-            **_scan_classes(n, list(level), predicate, cluster_tol, hits, borderline_log),
+            "connected": sum(math.factorial(n) // c.aut for c in level),
+            **_scan_classes(n, level, predicate, cluster_tol, hits, borderline_log),
         }
-        for n, level in connected_classes(n_max).items()
+        for n, level in _class_levels(n_max).items()
     }
     return _finish_report(
         "connected", predicate, (1, n_max), hits, counts, borderline_log, cluster_tol
@@ -645,12 +755,8 @@ def scan_bipartite_pendant(
     if not 2 <= n <= 10:
         raise ValueError("n must be in 2..10")
     predicate = SpectrumPredicate(kind="distinct", k=4)
-    level = connected_classes(n, bipartite=True)[n]
-    pendant = [
-        code
-        for code in level
-        if any(row.bit_count() == 1 for row in _graph_of_code(n, code).adj)
-    ]
+    level = _class_levels(n, bipartite=True)[n]
+    pendant = [c for c in level if any(row.bit_count() == 1 for row in c.rows)]
     hits: dict = {}
     borderline_log: list[dict] = []
     counts = {
@@ -686,7 +792,9 @@ def scan_unicyclic(
     graphs = [unicyclic(spec) for spec in specs]
     labels = [str(spec) for spec in specs]
     borderline_log: list[dict] = []
-    matches, _, distinct = _scan_order(graphs, predicate, cluster_tol, borderline_log, labels)
+    matches, _, distinct = _scan_order(
+        [g.adj for g in graphs], predicate, cluster_tol, borderline_log, labels
+    )
     hits = {}
     for i, spec in matches:
         g = graphs[i]

@@ -490,6 +490,24 @@ def test_verify_eq1_without_zero_cluster_is_inapplicable(capsys):
     assert report["results"][0]["check"] == "precondition"
 
 
+@pytest.mark.parametrize("suite, graph6", [("eq1", "EJwG"), ("four-ev", "El^g")])
+def test_verify_with_merged_nonzero_clusters_is_inapplicable(suite, graph6, capsys):
+    """At --tol 0.05 two distinct nonzero eigenvalues of these graphs share
+    a cluster (1.3766 and 1.3333; 0.9167 and 0.8813), so the identity over
+    the distinct values does not apply.  At the default tolerance eq1 holds
+    on EJwG, and El^g has five distinct values, so four-ev does not apply."""
+    code, out, err = run(capsys, "verify", suite, graph6, "--tol", "0.05")
+    assert (code, err) == (0, "")
+    report = json.loads(out)["report"]
+    assert report["applicable"] is False
+    witness = report["results"][0]["witness"]
+    assert witness["reason"] == "need the cluster tolerance to keep distinct L-eigenvalues apart"
+    assert witness["detail"]["merged_gap"] > 1e-2
+    code, out, _ = run(capsys, "verify", suite, graph6)
+    report = json.loads(out)["report"]
+    assert (code, report["applicable"], report["pass"]) == (0, suite == "eq1", True)
+
+
 def test_verify_tol_reaches_suite(capsys, monkeypatch):
     # at --tol 0.8 C5 clusters to two values, so it is no 3-value graph
     code, out, _ = run(capsys, "verify", "three-ev", "C5", "--tol", "0.8")

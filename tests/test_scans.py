@@ -21,7 +21,7 @@ from speclap.families import (
     pendant_join_family,
     unicyclic,
 )
-from speclap.graph import from_edge_list, from_graph6, to_graph6
+from speclap.graph import Graph, bipartite_split, from_edge_list, from_graph6, to_graph6
 from speclap.linalg import cluster_spectrum
 from speclap.nlspec import l_spectrum
 from speclap.scans import (
@@ -147,7 +147,7 @@ def _is_automorphism(g, perm):
     ],
 )
 def test_automorphism_group_orders_of_known_graphs(g, order):
-    _, aut, gens = scans._canonical_search(g.adj)
+    _, aut, gens, _ = scans._canonical_search(g.adj)
     assert aut == order
     assert all(_is_automorphism(g, perm) for perm in gens)
 
@@ -177,35 +177,70 @@ def test_symmetric_graphs_visit_at_most_n_leaves(n, monkeypatch):
         graphs.append((complete_bipartite(n // 2, n // 2), 2 * fact(n // 2) ** 2))
     for g, order in graphs:
         leaves.clear()
-        _, aut, _ = scans._canonical_search(g.adj)
+        _, aut, _, _ = scans._canonical_search(g.adj)
         assert aut == order
 
 
 @pytest.mark.parametrize("m", range(1, 8))
-def test_augmentation_takes_one_subset_per_orbit(m, monkeypatch):
-    """Extending K_m canonicalizes one subset per size (S_m's orbits on
-    subsets), K_{1,m} one per size within each side; each extension also
-    runs one search on the parent for its automorphisms."""
-    clique = list(itertools.combinations(range(m), 2))
-    want = {
-        canonical_form(from_edge_list(m + 1, clique + [(i, m) for i in range(k)]))
-        for k in range(1, m + 1)
-    }
-    k_m = {canonical_form(complete(m)): math.factorial(m)}
-    star = {canonical_form(complete_bipartite(1, m)): math.factorial(m)}
-    searches = []
+def test_augmentation_takes_one_subset_per_orbit(m):
+    """The automorphisms K_m's search finds leave one nonempty subset per
+    size (S_m's orbits on subsets); those of K_{1,m}, one subset per size
+    within each side."""
+    _, _, gens, _ = scans._canonical_search(complete(m).adj)
+    minima = list(scans._orbit_minima(range(1, 1 << m), gens))
+    assert sorted(subset.bit_count() for subset in minima) == list(range(1, m + 1))
+    star = complete_bipartite(1, m)
+    _, _, gens, _ = scans._canonical_search(star.adj)
+    split = bipartite_split(star)
+    subsets = sorted(scans._submasks(split.part1) + scans._submasks(split.part2))
+    minima = list(scans._orbit_minima(subsets, gens))
+    assert len(minima) == (1 + m if m > 1 else 1)  # K_{1,1} swaps its sides
+    assert all(subset & split.part1 == subset or subset & split.part2 == subset for subset in minima)
+
+
+def _rows_of_code(n, code):
+    """Adjacency rows of the graph on n vertices whose canonical code is
+    `code`, in its canonical labeling: the upper-triangle pairs, first pair
+    most significant."""
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [pair for k, pair in enumerate(pairs) if code >> (len(pairs) - 1 - k) & 1]
+    return from_edge_list(n, edges).adj
+
+
+@pytest.mark.parametrize("n_max, bipartite", [(7, False), (9, True)])
+def test_classes_keep_their_canonical_rows_and_automorphisms(n_max, bipartite):
+    """Each generated class carries the rows its code encodes, whose search
+    gives that code and |Aut| back, and generators that are automorphisms of
+    those rows; no code comes out twice, and each level is in code order."""
+    for n, level in scans._class_levels(n_max, bipartite).items():
+        codes = [c.code for c in level]
+        assert codes == sorted(set(codes)), n
+        for c in level:
+            assert c.rows == _rows_of_code(n, c.code)
+            code, aut, _, _ = scans._canonical_search(c.rows)
+            assert (code, aut) == (c.code, c.aut)
+            assert all(_is_automorphism(Graph(n, c.rows), perm) for perm in c.gens)
+
+
+@pytest.mark.parametrize(
+    "n_max, bipartite, searches",
+    [(7, False, 1049), (9, True, 1047)],
+    ids=["connected-7", "bipartite-9"],
+)
+def test_canonical_deletion_search_count(n_max, bipartite, searches, monkeypatch):
+    """Canonical deletion searches each class once, plus the children whose
+    deletion-vertex tie the search resolves against them; the old dedup
+    generator searched 4,302 and 4,679 times.  A count, not a timing."""
+    calls = []
     real = scans._canonical_search
 
     def counting(adj):
-        searches.append(adj)
+        calls.append(adj)
         return real(adj)
 
     monkeypatch.setattr(scans, "_canonical_search", counting)
-    assert set(scans._extend(m, k_m, False)) == want
-    assert len(searches) == 1 + m
-    searches.clear()
-    scans._extend(m + 1, star, True)
-    assert len(searches) == 1 + (1 + m if m > 1 else 1)  # K_{1,1} swaps its sides
+    connected_classes(n_max, bipartite=bipartite)
+    assert len(calls) == searches
 
 
 def test_bipartite_class_counts_match_oeis():
@@ -291,14 +326,15 @@ def _digest(classes):
 @pytest.mark.parametrize(
     "n_max, bipartite, digest",
     [
-        (7, False, "d1e683b85caba5daae2665b19df195841d702b06efe432dfa8dbf9a985edac53"),
-        (9, True, "0596678476da316807842b05c8dc9fd88374b1c40f91e3cd65156a5ce3357179"),
+        (7, False, "94db0dc8fcc791d35fbbab32068ec4e9aa95152a6464d67fcc48e25617b5eaf0"),
+        (9, True, "0f6c1a7eaf0f9d8d786f9b46d90a587b930c2a3ff53b306420a7370178137635"),
     ],
     ids=["connected-7", "bipartite-9"],
 )
 def test_class_codes_and_order_are_pinned(n_max, bipartite, digest):
-    """Canonical codes appear in scan reports: the ordered (n, code, |Aut|)
-    sequence of these levels must not drift."""
+    """Canonical codes appear in scan reports: the (n, code, |Aut|)
+    sequence of these levels, each level in ascending code order, must not
+    drift."""
     assert _digest(connected_classes(n_max, bipartite=bipartite)) == digest
 
 
