@@ -16,7 +16,8 @@ matrices as +/- text and designs as JSON, so commands compose:
 Exit codes: 0 success, 1 a verification failed, 2 usage error, 3 I/O error.
 Numeric output uses 10 significant digits unless --paper-precision rounds it
 to 4 decimals.  The SPECLAP_TOL environment variable overrides the default
-eigenvalue clustering tolerance; --tol wins over both.
+eigenvalue clustering tolerance; --tol wins over both.  Only `spectrum`,
+`verify` and `enumerate` cluster eigenvalues, so only they take --tol.
 """
 
 from __future__ import annotations
@@ -403,13 +404,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, clusters: bool = False):
         p.add_argument("-o", "--output", metavar="PATH", help="write to a file instead of stdout")
-        p.add_argument(
-            "--tol",
-            type=float,
-            help="eigenvalue clustering tolerance (default from SPECLAP_TOL or 1e-6)",
-        )
+        if clusters:
+            p.add_argument(
+                "--tol",
+                type=float,
+                help="eigenvalue clustering tolerance (default from SPECLAP_TOL or 1e-6)",
+            )
 
     p_spec = sub.add_parser("spectrum", help="clustered L-spectrum of input graphs")
     p_spec.add_argument("graph", nargs="?", help="family name or graph6 string")
@@ -421,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="round to 4 decimals instead of 10 significant digits",
     )
-    add_common(p_spec)
+    add_common(p_spec, clusters=True)
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_con = sub.add_parser("construct", help="build a named family graph")
@@ -460,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("graph", nargs="?", help="family name or graph6 string")
     p_ver.add_argument("--file", help="read graph6 lines from a file")
     p_ver.add_argument("--t", type=int, help="family parameter for the thm41 suite")
-    add_common(p_ver)
+    add_common(p_ver, clusters=True)
     p_ver.set_defaults(func=cmd_verify)
 
     p_enum = sub.add_parser("enumerate", help="exhaustive scans over small graphs")
@@ -479,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, help="ignored; scans run in one process"
     )
     p_enum.add_argument("--format", choices=("json", "csv"), default="json")
-    add_common(p_enum)
+    add_common(p_enum, clusters=True)
     p_enum.set_defaults(func=cmd_enumerate)
 
     return parser

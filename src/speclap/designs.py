@@ -6,6 +6,12 @@ q mod 4), a normalized Hadamard matrix of order 4t yields a symmetric
 2-(4t-1, 2t-1, t-1) design, and design incidence structures yield bipartite
 graphs whose adjacency spectra have a closed form.
 
+The field multiplies and lists its nonzero squares; the core takes the
+differences a_i - a_j of all pairs at once, digit by digit in base p, and
+reads the character off a table of the squares.  A Design holds only its
+incidence matrix and derives (v, b, r, k, lambda) from it once; the JSON
+reader compares the parameters a file states with those.
+
 All Hadamard and design validation is exact integer arithmetic.
 """
 
@@ -150,7 +156,6 @@ class FiniteField:
         if self.q > 4096:
             raise ValueError("field too large for this package's needs")
         self.modulus = self._find_modulus()
-        self._squares: frozenset[int] | None = None
 
     def _find_modulus(self) -> tuple[int, ...]:
         p, k = self.p, self.k
@@ -169,32 +174,6 @@ class FiniteField:
             raise ValueError(f"element {x} outside GF({self.q})")
         return x
 
-    def add(self, x: int, y: int) -> int:
-        p = self.p
-        self._check(x), self._check(y)
-        out = 0
-        mult = 1
-        for _ in range(self.k):
-            out += (x % p + y % p) % p * mult
-            x //= p
-            y //= p
-            mult *= p
-        return out
-
-    def neg(self, x: int) -> int:
-        p = self.p
-        self._check(x)
-        out = 0
-        mult = 1
-        for _ in range(self.k):
-            out += (p - x % p) % p * mult
-            x //= p
-            mult *= p
-        return out
-
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
-
     def mul(self, x: int, y: int) -> int:
         p = self.p
         self._check(x), self._check(y)
@@ -211,16 +190,9 @@ class FiniteField:
             out = out * p + c
         return out
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def squares(self) -> frozenset[int]:
         """The set of nonzero squares."""
-        if self._squares is None:
-            self._squares = frozenset(
-                self.mul(x, x) for x in range(1, self.q)
-            )
-        return self._squares
+        return frozenset(self.mul(x, x) for x in range(1, self.q))
 
     def __repr__(self) -> str:
         return f"FiniteField(p={self.p}, k={self.k})"
@@ -230,19 +202,20 @@ def paley_core(f: FiniteField) -> np.ndarray:
     """Quadratic-character matrix of GF(q): zero diagonal, entry (i, j) is
     +1 when a_i - a_j is a nonzero square and -1 otherwise.
 
-    Row and column sums vanish and C C^T = qI - J.  The matrix is symmetric
-    when q = 1 (mod 4) and antisymmetric when q = 3 (mod 4).
+    The code of a_i - a_j is read off the base-p digits of i and j, all
+    pairs at once.  Row and column sums vanish and C C^T = qI - J.  The
+    matrix is symmetric when q = 1 (mod 4) and antisymmetric when q = 3
+    (mod 4).
     """
     if f.q % 2 == 0:
         raise ValueError("core needs an odd field")
-    q = f.q
-    sq = f.squares()
-    c = np.zeros((q, q), dtype=np.int64)
-    for i in range(q):
-        for j in range(q):
-            if i == j:
-                continue
-            c[i, j] = 1 if f.sub(i, j) in sq else -1
+    powers = f.p ** np.arange(f.k)
+    digits = np.arange(f.q)[:, None] // powers % f.p
+    diff = ((digits[:, None, :] - digits[None, :, :]) % f.p) @ powers
+    is_square = np.zeros(f.q, dtype=bool)
+    is_square[list(f.squares())] = True
+    c = np.where(is_square[diff], 1, -1).astype(np.int64)
+    np.fill_diagonal(c, 0)
     return c
 
 
@@ -379,33 +352,23 @@ def hadamard_of_order(m: int) -> HadamardMatrix:
 
 @dataclass(frozen=True)
 class Design:
-    """2-design: v points, b blocks of size k, each point in r blocks, every
-    point pair in exactly lam blocks.  Incidence is points x blocks, 0/1."""
+    """2-design given by its points x blocks 0/1 incidence matrix: v points,
+    b blocks of size k, each point in r blocks, every point pair in exactly
+    lam blocks.  The parameters are derived from the incidence matrix, which
+    must have constant r, k and lam."""
 
-    v: int
-    b: int
-    r: int
-    k: int
-    lam: int
     incidence: np.ndarray = field(repr=False)
+    v: int = field(init=False)
+    b: int = field(init=False)
+    r: int = field(init=False)
+    k: int = field(init=False)
+    lam: int = field(init=False)
 
     def __post_init__(self):
         c = np.asarray(self.incidence, dtype=np.int64)
         object.__setattr__(self, "incidence", c)
-        if c.shape != (self.v, self.b):
-            raise ValueError(f"incidence shape {c.shape} != (v, b) = ({self.v}, {self.b})")
-        vv, bb, rr, kk, ll = _infer_params(c)
-        if (vv, bb, rr, kk, ll) != (self.v, self.b, self.r, self.k, self.lam):
-            raise ValueError(
-                f"stated parameters ({self.v},{self.b},{self.r},{self.k},{self.lam}) "
-                f"disagree with incidence ({vv},{bb},{rr},{kk},{ll})"
-            )
-
-    @classmethod
-    def from_incidence(cls, incidence) -> "Design":
-        c = np.asarray(incidence, dtype=np.int64)
-        v, b, r, k, lam = _infer_params(c)
-        return cls(v=v, b=b, r=r, k=k, lam=lam, incidence=c)
+        for name, value in zip(("v", "b", "r", "k", "lam"), _infer_params(c)):
+            object.__setattr__(self, name, value)
 
     @property
     def is_symmetric(self) -> bool:
@@ -445,7 +408,7 @@ def hadamard_to_design(h: HadamardMatrix) -> Design:
         raise ValueError("need order >= 4 divisible by 4")
     hn = h.normalized().array
     c = (hn[1:, 1:] + 1) // 2
-    d = Design.from_incidence(c)
+    d = Design(c)
     assert (d.v, d.r, d.lam) == (n - 1, n // 2 - 1, n // 4 - 1)
     return d
 
@@ -455,7 +418,7 @@ def complement(d: Design) -> Design:
     parameters (v, b, b-r, v-k, b-2r+lam)."""
     if d.v - d.k < 1 or d.b - d.r < 1:
         raise ValueError("complement would have empty blocks or uncovered points")
-    out = Design.from_incidence(1 - d.incidence)
+    out = Design(1 - d.incidence)
     assert (out.v, out.b, out.r, out.k, out.lam) == (
         d.v,
         d.b,
@@ -507,7 +470,7 @@ def design_from_json_dict(data: dict) -> Design:
             f"incidence matrix exceeds {MAX_HADAMARD_ORDER} rows or columns"
         )
     c = np.array([[int(ch) for ch in row] for row in rows], dtype=np.int64)
-    d = Design.from_incidence(c)
+    d = Design(c)
     for key, got in (("v", d.v), ("b", d.b), ("r", d.r), ("k", d.k), ("lambda", d.lam)):
         if key in data and not (isinstance(data[key], (int, str)) and int(data[key]) == got):
             raise ValueError(f"stated {key}={data[key]} disagrees with incidence ({got})")

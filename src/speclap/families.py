@@ -7,6 +7,10 @@ bare C6 and C7), and the degree-one bipartite family behind the `thm41`
 suite: incidence graph of a Hadamard-derived design with an apex-plus-pendant
 attachment.
 
+One table describes U1..U14: each family's cycle length and the vertices
+that carry its pendant counts.  `unicyclic` builds every member from it, and
+`UNICYCLIC_ARITY` is read off it.
+
 Closed-form spectra live here too, as PredictedSpectrum values, so tests can
 compare eigensolver output against exact targets.
 """
@@ -119,23 +123,28 @@ def add_pendants(g: Graph, attach: "dict[int, int] | list[tuple[int, int]]") -> 
     return from_edge_list(n, edges)
 
 
-#: parameter count for each unicyclic family
-UNICYCLIC_ARITY = {
-    "U1": 0,
-    "U2": 1,
-    "U3": 2,
-    "U4": 3,
-    "U5": 1,
-    "U6": 2,
-    "U7": 0,
-    "U8": 1,
-    "U9": 2,
-    "U10": 0,
-    "U11": 1,
-    "U12": 2,
-    "U13": 0,
-    "U14": 0,
+#: each unicyclic family: its cycle length and the vertices that carry its
+#: pendant counts, in parameter order.  A carrier past the cycle is the stem
+#: of U5 and U6, vertex 3, which first hangs off triangle vertex 0.
+_UNICYCLIC = {
+    "U1": (3, ()),
+    "U2": (3, (0,)),
+    "U3": (3, (0, 1)),
+    "U4": (3, (0, 1, 2)),
+    "U5": (3, (3,)),
+    "U6": (3, (3, 0)),
+    "U7": (4, ()),
+    "U8": (4, (0,)),
+    "U9": (4, (0, 1)),
+    "U10": (5, ()),
+    "U11": (5, (0,)),
+    "U12": (5, (0, 1)),
+    "U13": (6, ()),
+    "U14": (7, ()),
 }
+
+#: parameter count for each unicyclic family
+UNICYCLIC_ARITY = {family: len(carriers) for family, (_, carriers) in _UNICYCLIC.items()}
 
 
 @dataclass(frozen=True)
@@ -182,37 +191,11 @@ def unicyclic(spec: "UnicyclicSpec | str", params: "tuple[int, ...] | list[int]"
     """
     if not isinstance(spec, UnicyclicSpec):
         spec = UnicyclicSpec(spec, params)
-    family, params = spec.family, spec.params
-
-    if family == "U1":
-        return cycle(3)
-    if family == "U2":
-        return add_pendants(cycle(3), {0: params[0]})
-    if family == "U3":
-        return add_pendants(cycle(3), [(0, params[0]), (1, params[1])])
-    if family == "U4":
-        return add_pendants(cycle(3), [(0, params[0]), (1, params[1]), (2, params[2])])
-    if family == "U5":
-        g = add_pendants(cycle(3), {0: 1})  # vertex 3 hangs off vertex 0
-        return add_pendants(g, {3: params[0]})
-    if family == "U6":
-        g = add_pendants(cycle(3), {0: 1})
-        return add_pendants(g, [(3, params[0]), (0, params[1])])
-    if family == "U7":
-        return cycle(4)
-    if family == "U8":
-        return add_pendants(cycle(4), {0: params[0]})
-    if family == "U9":
-        return add_pendants(cycle(4), [(0, params[0]), (1, params[1])])
-    if family == "U10":
-        return cycle(5)
-    if family == "U11":
-        return add_pendants(cycle(5), {0: params[0]})
-    if family == "U12":
-        return add_pendants(cycle(5), [(0, params[0]), (1, params[1])])
-    if family == "U13":
-        return cycle(6)
-    return cycle(7)  # U14
+    length, carriers = _UNICYCLIC[spec.family]
+    core = cycle(length)
+    if any(v >= length for v in carriers):
+        core = add_pendants(core, {0: 1})
+    return add_pendants(core, list(zip(carriers, spec.params)))
 
 
 def all_unicyclic_specs(param_max: int) -> list[UnicyclicSpec]:
@@ -244,32 +227,24 @@ def all_unicyclic_specs(param_max: int) -> list[UnicyclicSpec]:
     return out
 
 
-def pendant_join(gprime: Graph, side: int = 0, split: BipartiteSplit | None = None) -> Graph:
-    """Attach an apex joined to one side of a bipartite graph, plus a pendant.
+def pendant_join(gprime: Graph, split: BipartiteSplit | None = None) -> Graph:
+    """Attach an apex joined to the first part of a bipartite graph, plus a
+    pendant.
 
     Adds two vertices: the apex (index gprime.n) adjacent to every vertex of
-    the chosen side (0 -> part1, 1 -> part2), and a pendant (index
-    gprime.n + 1) adjacent only to the apex.  The split is computed when not
-    supplied; non-bipartite input raises ValueError.
+    part1 of the split, and a pendant (index gprime.n + 1) adjacent only to
+    the apex.  The split is computed when not supplied; non-bipartite input
+    raises ValueError.
     """
     if split is None:
         split = bipartite_split(gprime)
         if split is None:
             raise ValueError("pendant_join needs a bipartite graph")
-    if side not in (0, 1):
-        raise ValueError("side must be 0 or 1")
-    attach = split.part1 if side == 0 else split.part2
-    if attach <= 0 or attach >> gprime.n:
-        raise ValueError("chosen side is empty or not a subset of the vertices")
+    if split.part1 <= 0 or split.part1 >> gprime.n:
+        raise ValueError("part1 is empty or not a subset of the vertices")
     apex = gprime.n
-    edges = list(gprime.edges())
-    v = attach
-    while v:
-        low = v & -v
-        edges.append((low.bit_length() - 1, apex))
-        v ^= low
-    edges.append((apex, apex + 1))
-    return from_edge_list(gprime.n + 2, edges)
+    joins = [(v, apex) for v in split.sides(apex)[0]]
+    return from_edge_list(apex + 2, [*gprime.edges(), *joins, (apex, apex + 1)])
 
 
 def pendant_join_family(t: int) -> tuple[Graph, BipartiteSplit]:
@@ -290,7 +265,7 @@ def pendant_join_family(t: int) -> tuple[Graph, BipartiteSplit]:
     h = designs.hadamard_of_order(4 * t)
     d = designs.complement(designs.hadamard_to_design(h))
     g, split = designs.incidence_graph(d)
-    joined = pendant_join(g, side=0, split=split)
+    joined = pendant_join(g, split)
     apex = g.n
     return joined, BipartiteSplit(
         part1=split.part1 | 1 << (apex + 1), part2=split.part2 | 1 << apex

@@ -1,8 +1,10 @@
 """Normalized-Laplacian spectra and the identity / classification checks.
 
 Everything verification-shaped lives here: building L = I - D^{-1/2}AD^{-1/2}
-(diagonal 0 at isolated vertices), computing clustered L-spectra, and the
-check suites behind the CLI `verify` command:
+(diagonal 0 at isolated vertices) with one assembly, `assemble`, for a stack
+of graphs (`build` is its one-graph case and the scans' batched solve calls
+it too), computing clustered L-spectra, and the check suites behind the CLI
+`verify` command:
 
 * fundamental eigenvalue properties (trace, bounds, component structure,
   bipartite symmetry) -- suite "lemma22";
@@ -82,6 +84,7 @@ __all__ = [
     "Classification",
     "CheckResult",
     "CheckReport",
+    "assemble",
     "build",
     "l_spectrum",
     "adjacency_spectrum",
@@ -143,20 +146,30 @@ class LaplacianBundle:
     L: np.ndarray
 
 
-def build(g: Graph) -> LaplacianBundle:
-    """Assemble the normalized Laplacian of g.
+def assemble(adjs: Sequence[Sequence[int]], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adjacency matrices, degree vectors and normalized Laplacians of a
+    stack of graphs on n vertices, one per tuple of bitmask adjacency rows.
 
-    D^{-1/2} A D^{-1/2} is formed as A * outer(s, s) with s_v = 1/sqrt(d_v)
+    The rows unpack as uint64, so graphs on 64 vertices fit.
+    D^{-1/2} A D^{-1/2} is formed as A * (s_u s_v) with s_v = 1/sqrt(d_v)
     (0 for isolated v), which keeps it bitwise symmetric in floating point.
+    L is diag(d > 0) - A * (s_u s_v), so a non-edge holds 0.0 - 0.0 = +0.0;
+    LAPACK reads that sign, and one assembly keeps every caller's eigenvalues
+    equal bit for bit.
     """
-    A = g.adjacency_matrix()
-    d = g.degrees().astype(float)
-    s = np.zeros(g.n)
+    rows = np.array(adjs, dtype=np.uint64).reshape(len(adjs), n)
+    A = ((rows[:, :, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(float)
+    d = A.sum(axis=2)
     nz = d > 0
-    s[nz] = 1.0 / np.sqrt(d[nz])
-    Astar = A * np.outer(s, s)
-    L = np.diag(nz.astype(float)) - Astar
-    return LaplacianBundle(A=A, D=d, L=L)
+    s = 1.0 / np.sqrt(np.maximum(d, 1.0)) * nz
+    L = np.eye(n) * nz[:, :, None] - A * (s[:, :, None] * s[:, None, :])
+    return A, d, L
+
+
+def build(g: Graph) -> LaplacianBundle:
+    """Assemble the normalized Laplacian of g: `assemble` on one graph."""
+    A, d, L = assemble([g.adj], g.n)
+    return LaplacianBundle(A=A[0], D=d[0], L=L[0])
 
 
 def l_spectrum(g: Graph, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:

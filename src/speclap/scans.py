@@ -48,6 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import nlspec
 from .families import all_unicyclic_specs, unicyclic
 from .graph import Graph, bipartite_split, to_graph6
 from .linalg import DEFAULT_CLUSTER_TOL, Spectrum, cluster_spectrum, format_value
@@ -596,15 +597,8 @@ class ScanReport:
 
 def _batched_l_values(adjs: list[tuple[int, ...]], n: int) -> np.ndarray:
     """Ascending L-eigenvalues, one row per graph on n vertices given by its
-    adjacency rows."""
-    rows = np.array(adjs, dtype=np.int64)
-    A = ((rows[:, :, None] >> np.arange(n)[None, None, :]) & 1).astype(float)
-    d = A.sum(axis=2)
-    s = np.where(d > 0, 1.0 / np.sqrt(np.maximum(d, 1.0)), 0.0)
-    L = -(A * s[:, :, None] * s[:, None, :])
-    diag = np.arange(n)
-    L[:, diag, diag] += (d > 0).astype(float)
-    return np.linalg.eigvalsh(L)
+    adjacency rows, from the Laplacians of `nlspec.assemble`."""
+    return np.linalg.eigvalsh(nlspec.assemble(adjs, n)[2])
 
 
 def _hit(
@@ -784,8 +778,9 @@ def scan_unicyclic(
     most 8 vertices also carry canonical forms.  A member whose eigenvalues
     have a gap in the borderline window is logged under its label.
     """
-    # the largest member, U4(p, p, p), has 3 + 3p vertices: at most 63 keeps
-    # each adjacency row inside the int64 of the batched eigensolve
+    # the largest member, U4(p, p, p), has 3 + 3p vertices, 63 at the cap;
+    # the uint64 rows of the batched solve would hold 64, so the cap of 20
+    # bounds the scan's size, not its row width
     if not 1 <= param_max <= 20:
         raise ValueError("param_max must be in 1..20")
     specs = all_unicyclic_specs(param_max)

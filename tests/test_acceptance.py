@@ -160,7 +160,7 @@ def test_criterion_3_pendant_join_construction():
     # t = 2 again from the explicit doubling matrix rather than the default
     h = sylvester_of_order(8)
     gprime, split = incidence_graph(complement(hadamard_to_design(h)))
-    g2 = pendant_join(gprime, side=0, split=split)
+    g2 = pendant_join(gprime, split)
     ok, dev = spectra_match(l_spectrum(g2), predicted_pendant_join_spectrum(2), 1e-9)
     assert ok, dev
     elapsed = time.perf_counter() - start

@@ -379,6 +379,22 @@ def test_design_validate_bad_json(capsys, monkeypatch):
             assert code == 2 and err.startswith("error:"), (text, action)
 
 
+def test_design_validate_names_a_stated_parameter_that_disagrees(capsys, monkeypatch):
+    """The JSON reader is where stated parameters meet the ones the
+    incidence matrix gives; the Fano plane is a 2-(7, 3, 1) design."""
+    code, h_out, _ = run(capsys, "hadamard", "--method", "paley1", "--q", "7")
+    feed(monkeypatch, h_out)
+    code, d_out, _ = run(capsys, "design", "--to-design", "--format", "json")
+    fano = json.loads(d_out)
+    assert (fano["v"], fano["k"], fano["lambda"]) == (7, 3, 1)
+    for key, wrong in (("lambda", 2), ("v", 8)):
+        feed(monkeypatch, json.dumps({**fano, key: wrong}))
+        code, out, _ = run(capsys, "design", "--validate")
+        report = json.loads(out)
+        assert code == 1 and report["valid"] is False, key
+        assert f"stated {key}={wrong} disagrees" in report["error"]
+
+
 def test_design_json_size_is_capped(capsys, monkeypatch):
     """An incidence matrix over MAX_HADAMARD_ORDER rows or columns is refused
     before the matrix is built: invalid for --validate, a usage error for
@@ -657,6 +673,53 @@ def test_garbage_input_never_escapes_as_a_traceback(argv, lines):
             os.chdir(old_cwd)
 
 
+GRAPH6_CHARS = st.characters(min_codepoint=63, max_codepoint=126)
+OUT_OF_RANGE = st.sampled_from([chr(c) for c in range(33, 63)] + ["\x7f"])
+
+
+def _graph6_header(n):
+    if n < 63:
+        return chr(63 + n)
+    return "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
+
+
+@st.composite
+def malformed_graph6(draw):
+    """A graph6 line with a truncated or padded body, a byte out of range,
+    or a '~' header naming more than 64 vertices."""
+    fault = draw(st.sampled_from(["truncated", "padded", "out-of-range", "too-many"]))
+    if fault == "too-many":
+        n = draw(st.integers(65, 2**18 - 1))
+        return _graph6_header(n) + draw(st.text(GRAPH6_CHARS, max_size=40))
+    n = draw(st.integers(2, 64))
+    need = (n * (n - 1) // 2 + 5) // 6
+    body = draw(st.text(GRAPH6_CHARS, min_size=need, max_size=need))
+    if fault == "truncated":
+        body = body[: draw(st.integers(0, need - 1))]
+    elif fault == "padded":
+        body += draw(st.text(GRAPH6_CHARS, min_size=1, max_size=3))
+    else:
+        i = draw(st.integers(0, need - 1))
+        body = body[:i] + draw(OUT_OF_RANGE) + body[i + 1 :]
+    return _graph6_header(n) + body
+
+
+@settings(max_examples=200, deadline=None)
+@given(line=malformed_graph6())
+def test_malformed_graph6_file_is_a_usage_error(line):
+    fd, path = tempfile.mkstemp(suffix=".g6")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(line + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["spectrum", "--file", path])
+    finally:
+        os.unlink(path)
+    assert (code, out.getvalue()) == (2, ""), line
+    assert err.getvalue().startswith("error:") and "Traceback" not in err.getvalue()
+
+
 # -- enumerate ---------------------------------------------------------------
 
 
@@ -758,6 +821,18 @@ def test_cluster_tol_flag_and_env(capsys, monkeypatch):
         monkeypatch.setenv("SPECLAP_TOL", bad)
         code, _, err = run(capsys, "spectrum", "C5")
         assert code == 2 and "SPECLAP_TOL" in err, bad
+
+
+def test_tol_is_refused_by_commands_that_do_not_cluster(capsys):
+    for argv in [
+        ("construct", "C5"),
+        ("hadamard", "--method", "sylvester", "--order", "2"),
+        ("design", "--validate"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tol", "1e-3"])
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs_without_warnings():

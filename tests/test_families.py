@@ -88,6 +88,39 @@ def test_unicyclic_orders():
     assert unicyclic("U14").n == 7
 
 
+def _reference_unicyclic(family, p):
+    """Each family spelled out as the branch chain that `unicyclic`'s table
+    replaced, kept as its reference."""
+    stem = add_pendants(cycle(3), {0: 1})  # vertex 3 hangs off vertex 0
+    return {
+        "U1": lambda: cycle(3),
+        "U2": lambda: add_pendants(cycle(3), {0: p[0]}),
+        "U3": lambda: add_pendants(cycle(3), [(0, p[0]), (1, p[1])]),
+        "U4": lambda: add_pendants(cycle(3), [(0, p[0]), (1, p[1]), (2, p[2])]),
+        "U5": lambda: add_pendants(stem, {3: p[0]}),
+        "U6": lambda: add_pendants(stem, [(3, p[0]), (0, p[1])]),
+        "U7": lambda: cycle(4),
+        "U8": lambda: add_pendants(cycle(4), {0: p[0]}),
+        "U9": lambda: add_pendants(cycle(4), [(0, p[0]), (1, p[1])]),
+        "U10": lambda: cycle(5),
+        "U11": lambda: add_pendants(cycle(5), {0: p[0]}),
+        "U12": lambda: add_pendants(cycle(5), [(0, p[0]), (1, p[1])]),
+        "U13": lambda: cycle(6),
+        "U14": lambda: cycle(7),
+    }[family]()
+
+
+def test_unicyclic_table_matches_reference():
+    assert UNICYCLIC_ARITY == {
+        "U1": 0, "U2": 1, "U3": 2, "U4": 3, "U5": 1, "U6": 2, "U7": 0,
+        "U8": 1, "U9": 2, "U10": 0, "U11": 1, "U12": 2, "U13": 0, "U14": 0,
+    }  # fmt: skip
+    for family, arity in UNICYCLIC_ARITY.items():
+        # every parameter order, so unsorted U3, U4, U9, U12 and both U6 roles
+        for params in itertools.product(range(1, 5), repeat=arity):
+            assert unicyclic(family, params) == _reference_unicyclic(family, params), (family, params)
+
+
 def test_unicyclic_is_unicyclic():
     # exactly one cycle: m == n for every member
     for spec in all_unicyclic_specs(2):

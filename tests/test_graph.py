@@ -7,6 +7,8 @@ connectivity; the package itself never imports it.
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speclap.graph import (
     Graph,
@@ -154,6 +156,20 @@ def test_graph6_round_trip_random():
     for n in [int(rng.integers(1, 14)) for _ in range(300)] + [63, 64]:
         g = random_graph(n, float(rng.uniform(0, 1)), rng)
         assert from_graph6(to_graph6(g)) == g
+
+
+@st.composite
+def graphs(draw, max_n=64):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    bits = draw(st.integers(0, 2 ** len(pairs) - 1))
+    return from_edge_list(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=graphs())
+def test_graph6_round_trip_property(g):
+    assert from_graph6(to_graph6(g)) == g
 
 
 def test_graph6_matches_networkx():

@@ -2,6 +2,7 @@
 
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +17,17 @@ from speclap.families import (
     cycle,
     parse_family,
     path,
+    pendant_join_family,
     unicyclic,
 )
-from speclap.graph import Graph, bipartite_split, duplicate_classes, from_edge_list, from_graph6
+from speclap.graph import (
+    Graph,
+    bipartite_split,
+    duplicate_classes,
+    from_edge_list,
+    from_graph6,
+    to_graph6,
+)
 from speclap.linalg import cluster_spectrum
 from speclap.nlspec import (
     FACTORIZATION_TOL,
@@ -69,6 +78,33 @@ def test_build_isolated_vertex_zero_diagonal():
     b = build(g)
     assert b.L[2, 2] == 0.0
     assert np.all(b.L[2] == 0.0)
+
+
+def _per_edge_build(g):
+    """The per-edge assembly `build` replaced, kept as its reference: A
+    filled edge by edge, L = diag(d > 0) - A * outer(s, s)."""
+    A = np.zeros((g.n, g.n))
+    for u, v in g.edges():
+        A[u, v] = A[v, u] = 1.0
+    d = g.degrees().astype(float)
+    s = np.zeros(g.n)
+    nz = d > 0
+    s[nz] = 1.0 / np.sqrt(d[nz])
+    return A, d, np.diag(nz.astype(float)) - A * np.outer(s, s)
+
+
+def test_build_matches_per_edge_assembly_bit_for_bit():
+    rng = np.random.default_rng(7)
+    graphs = [from_edge_list(h.number_of_nodes(), list(h.edges())) for h in nx.graph_atlas_g()]
+    graphs += [complete(63), complete(64), unicyclic("U4", (20, 20, 20)), pendant_join_family(8)[0]]
+    for n in (63, 64):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        graphs.append(from_edge_list(n, [e for e in pairs if rng.random() < 0.3]))
+    for g in graphs:
+        b = build(g)
+        for got, want in zip((b.A, b.D, b.L), _per_edge_build(g)):
+            # tobytes compares sign bits too: -0.0 and +0.0 differ there
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), to_graph6(g)
 
 
 def test_l_spectrum_known_values():

@@ -2,6 +2,9 @@
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +34,15 @@ def test_benchmark_trace_targets_resolve():
     assert [t for t, f in zip(targets, resolved) if not callable(f)] == []
     assert set(tracing.SUITES.values()) <= set(nlspec.SUITES) | {"thm41"}
     assert isinstance(vars(designs.HadamardMatrix)["from_text"], classmethod)
+
+
+def test_cli_import_footprint():
+    """`import speclap.cli` in a fresh interpreter loads none of the heavy
+    optional modules; each would add to every CLI call's start-up time."""
+    src = Path(speclap.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    heavy = ["numpy.ma", "sympy", "networkx", "scipy", "hypothesis"]
+    code = f"import sys, speclap.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -551,3 +551,19 @@ def test_scans_are_deterministic():
         first, second = run(), run()
         assert first.to_json_dict() == second.to_json_dict()
         assert first.to_csv() == second.to_csv()
+
+
+@pytest.mark.parametrize("tol", [1e-6, 0.05])
+@pytest.mark.parametrize(
+    "predicate", ["distinct:3", "distinct:4", "distinct-with-one:3", "second-least-one"]
+)
+def test_scan_hit_spectrum_is_the_l_spectrum_of_its_graph6(predicate, tol):
+    """The scans and `l_spectrum` assemble L the same way, so a hit reports
+    the spectrum its own graph6 gets, bit for bit."""
+    reports = [scan_connected(7, parse_predicate(predicate), cluster_tol=tol)]
+    if predicate == "distinct:4":
+        reports.append(scan_bipartite_pendant(8, cluster_tol=tol))
+    hits = [hit for report in reports for hit in report.hits]
+    assert hits
+    for hit in hits:
+        assert hit.spectrum == l_spectrum(from_graph6(hit.graph6), tol), hit.graph6
