@@ -98,7 +98,11 @@ def _cluster_tol(args) -> float:
     if getattr(args, "tol", None) is not None:
         source, tol = "--tol", args.tol
     elif "SPECLAP_TOL" in os.environ:
-        source, tol = "SPECLAP_TOL", float(os.environ["SPECLAP_TOL"])
+        source, text = "SPECLAP_TOL", os.environ["SPECLAP_TOL"]
+        try:
+            tol = float(text)
+        except ValueError:
+            raise ValueError(f"{source} must be positive and finite, got {text!r}") from None
     else:
         return DEFAULT_CLUSTER_TOL
     if not (math.isfinite(tol) and tol > 0):
@@ -319,7 +323,7 @@ def cmd_design(args) -> int:
         else:
             g, split = designs.incidence_graph(d)
             if args.format == "json":
-                n1, n2 = split.sides(g.n)
+                n1, n2 = split.sides()
                 _emit(
                     args,
                     _dump_json(

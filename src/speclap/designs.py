@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import BipartiteSplit, Graph
+from .graph import BipartiteSplit, Graph, check_vertex_count
 
 __all__ = [
     "FiniteField",
@@ -219,9 +219,10 @@ def paley_core(f: FiniteField) -> np.ndarray:
     return c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HadamardMatrix:
-    """Square +/-1 matrix with pairwise orthogonal rows (exact check)."""
+    """Square +/-1 matrix with pairwise orthogonal rows (exact check).
+    Equal when the arrays are; unhashable."""
 
     array: np.ndarray = field(repr=False)
 
@@ -235,6 +236,9 @@ class HadamardMatrix:
         n = a.shape[0]
         if not np.array_equal(a @ a.T, n * np.eye(n, dtype=np.int64)):
             raise ValueError("rows are not orthogonal: H H^T != nI")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and np.array_equal(self.array, other.array)
 
     @property
     def order(self) -> int:
@@ -350,12 +354,13 @@ def hadamard_of_order(m: int) -> HadamardMatrix:
     raise ValueError(f"cannot construct a Hadamard matrix of order {m}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Design:
     """2-design given by its points x blocks 0/1 incidence matrix: v points,
     b blocks of size k, each point in r blocks, every point pair in exactly
     lam blocks.  The parameters are derived from the incidence matrix, which
-    must have constant r, k and lam."""
+    must have constant r, k and lam; two designs are equal when their
+    incidence matrices are.  Unhashable."""
 
     incidence: np.ndarray = field(repr=False)
     v: int = field(init=False)
@@ -369,6 +374,9 @@ class Design:
         object.__setattr__(self, "incidence", c)
         for name, value in zip(("v", "b", "r", "k", "lam"), _infer_params(c)):
             object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and np.array_equal(self.incidence, other.incidence)
 
     @property
     def is_symmetric(self) -> bool:
@@ -433,13 +441,12 @@ def incidence_graph(d: Design) -> tuple[Graph, BipartiteSplit]:
     """Bipartite point-block graph: vertices 0..v-1 are points, v..v+b-1 are
     blocks, edges follow the incidence matrix."""
     v, b = d.v, d.b
-    rows = [0] * (v + b)
-    for i in range(v):
-        for j in range(b):
-            if d.incidence[i, j]:
-                rows[i] |= 1 << (v + j)
-                rows[v + j] |= 1 << i
-    g = Graph(v + b, tuple(rows))
+    check_vertex_count(v + b)  # the rows below are uint64
+    c = d.incidence.astype(np.uint64)
+    bit = np.uint64(1) << np.arange(v + b, dtype=np.uint64)
+    points = np.bitwise_or.reduce(c * bit[v:], axis=1)  # point i: blocks v + j
+    blocks = np.bitwise_or.reduce(c.T * bit[:v], axis=1)  # block v + j: points i
+    g = Graph(v + b, tuple(int(row) for row in (*points, *blocks)))
     split = BipartiteSplit(part1=(1 << v) - 1, part2=((1 << b) - 1) << v)
     return g, split
 

@@ -243,7 +243,7 @@ def pendant_join(gprime: Graph, split: BipartiteSplit | None = None) -> Graph:
     if split.part1 <= 0 or split.part1 >> gprime.n:
         raise ValueError("part1 is empty or not a subset of the vertices")
     apex = gprime.n
-    joins = [(v, apex) for v in split.sides(apex)[0]]
+    joins = [(v, apex) for v in split.sides()[0]]
     return from_edge_list(apex + 2, [*gprime.edges(), *joins, (apex, apex + 1)])
 
 

@@ -1,8 +1,13 @@
 """Simple undirected graphs on at most 64 vertices.
 
-Adjacency is a tuple of integer bitmasks, one per vertex, which keeps
-neighbourhood comparisons (duplicate-vertex detection) and BFS loops cheap.
-Vertices are always 0..n-1; no loops, no multi-edges, no weights.
+Adjacency is a tuple of integer bitmasks, one per vertex (`Graph.adj`), which
+keeps neighbourhood comparisons (duplicate-vertex detection) and BFS loops
+cheap.  Vertices are always 0..n-1; no loops, no multi-edges, no weights.
+
+The rows are the one internal format.  Every conversion of it lives here and
+reads or writes rows directly: graph6 in both directions, `reach` (the one
+BFS), `relabel` (rows induced on a vertex order) and the queries built on
+them.  The only route from rows to a matrix is `nlspec.assemble`.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ __all__ = [
     "bipartite_split",
     "duplicate_classes",
     "induced_subgraph",
+    "reach",
+    "relabel",
     "is_complete_multipartite",
     "complement_graph",
     "to_graph6",
@@ -69,9 +76,6 @@ class Graph:
 
     # -- basic queries -------------------------------------------------
 
-    def degree(self, v: int) -> int:
-        return int(self.adj[v]).bit_count()
-
     def degrees(self) -> np.ndarray:
         return np.array([int(r).bit_count() for r in self.adj], dtype=np.int64)
 
@@ -79,9 +83,6 @@ class Graph:
     def m(self) -> int:
         """Edge count."""
         return sum(int(r).bit_count() for r in self.adj) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
 
     def neighbors(self, v: int) -> Iterator[int]:
         row = self.adj[v]
@@ -98,13 +99,6 @@ class Graph:
                 yield (u, low.bit_length() - 1)
                 row ^= low
 
-    def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for u, v in self.edges():
-            a[u, v] = 1.0
-            a[v, u] = 1.0
-        return a
-
 
 @dataclass(frozen=True)
 class BipartiteSplit:
@@ -113,7 +107,7 @@ class BipartiteSplit:
     part1: int
     part2: int
 
-    def sides(self, n: int) -> tuple[list[int], list[int]]:
+    def sides(self) -> tuple[list[int], list[int]]:
         return (_mask_vertices(self.part1), _mask_vertices(self.part2))
 
 
@@ -171,20 +165,25 @@ def from_edge_list(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def _bfs_mask(g: Graph, start: int) -> int:
-    """Bitmask of all vertices reachable from start."""
-    seen = 1 << start
-    frontier = seen
+def reach(adj: Sequence[int], start: int, within: int) -> int:
+    """Bitmask of the vertices reachable from vertex `start` along paths
+    whose vertices all lie in the bitmask `within` (`start` included)."""
+    seen = frontier = 1 << start
     while frontier:
         nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= g.adj[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt & ~seen
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nxt |= adj[low.bit_length() - 1]
+        frontier = nxt & within & ~seen
         seen |= frontier
     return seen
+
+
+def relabel(adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
+    """Rows of the graph induced on the vertices `order`, with order[i]
+    renamed i."""
+    return tuple(sum(1 << i for i, u in enumerate(order) if adj[v] >> u & 1) for v in order)
 
 
 def components(g: Graph) -> list[list[int]]:
@@ -193,7 +192,7 @@ def components(g: Graph) -> list[list[int]]:
     out = []
     while remaining:
         start = (remaining & -remaining).bit_length() - 1
-        mask = _bfs_mask(g, start)
+        mask = reach(g.adj, start, remaining)
         out.append(_mask_vertices(mask))
         remaining &= ~mask
     return out
@@ -202,7 +201,8 @@ def components(g: Graph) -> list[list[int]]:
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return True
-    return _bfs_mask(g, 0) == (1 << g.n) - 1
+    full = (1 << g.n) - 1
+    return reach(g.adj, 0, full) == full
 
 
 def bipartite_split(g: Graph) -> BipartiteSplit | None:
@@ -274,16 +274,12 @@ def duplicate_classes(g: Graph) -> list[DuplicateClass]:
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     """Induced subgraph; vertex i of the result is vertices[i]."""
-    verts = list(vertices)
+    verts = [int(v) for v in vertices]
     if len(set(verts)) != len(verts):
         raise ValueError("duplicate vertices")
-    pos = {v: i for i, v in enumerate(verts)}
-    edges = []
-    for i, v in enumerate(verts):
-        for u in g.neighbors(v):
-            if u in pos and pos[u] > i:
-                edges.append((i, pos[u]))
-    return from_edge_list(len(verts), edges)
+    if not all(0 <= v < g.n for v in verts):
+        raise ValueError(f"vertices out of range for n={g.n}")
+    return Graph(len(verts), relabel(g.adj, verts))
 
 
 def complement_graph(g: Graph) -> Graph:
@@ -323,21 +319,22 @@ def to_graph6(g: Graph) -> str:
     https://users.cecs.anu.edu.au/~bdm/data/formats.txt
     """
     n = g.n
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
     if n <= 62:
         out = [chr(n + 63)]
     else:
         out = ["~"] + [chr((n >> shift & 63) + 63) for shift in (12, 6, 0)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k : k + 6]:
-            val = val << 1 | b
-        out.append(chr(val + 63))
+    # the upper triangle column by column, bit (i, j) for i < j, six to a byte
+    val = count = 0
+    for j in range(1, n):
+        row = g.adj[j]
+        for i in range(j):
+            val = val << 1 | row >> i & 1
+            count += 1
+            if count == 6:
+                out.append(chr(val + 63))
+                val = count = 0
+    if count:
+        out.append(chr((val << 6 - count) + 63))
     return "".join(out)
 
 
@@ -365,18 +362,19 @@ def from_graph6(s: str) -> Graph:
         )
     if any(b < 0 or b > 63 for b in body):
         raise ValueError("graph6 characters out of range")
-    bits = []
+    rows = [0] * n
+    i, j = 0, 1  # the pair the next bit describes, in to_graph6's order
     for val in body:
         for shift in range(5, -1, -1):
-            bits.append(val >> shift & 1)
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return from_edge_list(n, edges)
+            if j == n:  # padding
+                break
+            if val >> shift & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
+    return Graph(n, tuple(rows))
 
 
 def to_json_dict(g: Graph) -> dict:

@@ -3,8 +3,9 @@
 Everything verification-shaped lives here: building L = I - D^{-1/2}AD^{-1/2}
 (diagonal 0 at isolated vertices) with one assembly, `assemble`, for a stack
 of graphs (`build` is its one-graph case and the scans' batched solve calls
-it too), computing clustered L-spectra, and the check suites behind the CLI
-`verify` command:
+it too; it is the only place bitmask rows become a matrix, so the adjacency
+spectrum reads A from `build`), computing clustered L-spectra, and the check
+suites behind the CLI `verify` command:
 
 * fundamental eigenvalue properties (trace, bounds, component structure,
   bipartite symmetry) -- suite "lemma22";
@@ -179,7 +180,7 @@ def l_spectrum(g: Graph, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
 
 def adjacency_spectrum(g: Graph, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
     """Clustered adjacency-matrix spectrum of g."""
-    return cluster_spectrum(jacobi_eigen(g.adjacency_matrix()), cluster_tol)
+    return cluster_spectrum(jacobi_eigen(build(g).A), cluster_tol)
 
 
 @dataclass
@@ -453,7 +454,9 @@ def check_spectrum_fundamentals(ctx: SpectralContext) -> Sequence[CheckResult]:
     )
 
     has_two = abs(float(vals[0]) - 2.0) <= tol
-    bip_comp = any(
+    # a connected graph is its own only component: 2-colour it once
+    bipartite = bipartite_split(g) is not None
+    bip_comp = (g.n >= 2 and bipartite) if len(comps) == 1 else any(
         len(c) >= 2 and bipartite_split(induced_subgraph(g, c)) is not None
         for c in comps
     )
@@ -468,7 +471,6 @@ def check_spectrum_fundamentals(ctx: SpectralContext) -> Sequence[CheckResult]:
 
     sym_dev = float(np.max(np.abs(vals + vals[::-1] - 2.0)))
     symmetric = sym_dev <= tol
-    bipartite = bipartite_split(g) is not None
     expect_sym = bipartite and iso == 0
     results.append(
         CheckResult(
@@ -750,7 +752,7 @@ def check_bipartite_four_ev(ctx: SpectralContext) -> Sequence[CheckResult]:
     vertex_res = float(np.max(np.abs(P.sum(axis=1) - vertex_rhs)))
 
     in_part1 = np.zeros(g.n, dtype=bool)
-    in_part1[split.sides(g.n)[0]] = True
+    in_part1[split.sides()[0]] = True
     same_side = np.triu(np.equal.outer(in_part1, in_part1), 1)
     pairs = int(np.count_nonzero(same_side))
     pair_dev = np.abs(P @ A - coef * np.outer(d, d))
@@ -1085,7 +1087,7 @@ def bipartite_factorization(g: "Graph | SpectralContext") -> BipartiteFactorizat
     A, d = ctx.bundle.A, ctx.bundle.D
     if np.any(d == 0):
         raise ValueError("isolated vertices have no normalized biadjacency row")
-    side1, side2 = split.sides(g.n)
+    side1, side2 = split.sides()
     if len(side1) > len(side2):
         side1, side2 = side2, side1
         split = BipartiteSplit(part1=split.part2, part2=split.part1)

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import nlspec
 from .families import all_unicyclic_specs, unicyclic
-from .graph import Graph, bipartite_split, to_graph6
+from .graph import Graph, bipartite_split, reach, relabel, to_graph6
 from .linalg import DEFAULT_CLUSTER_TOL, Spectrum, cluster_spectrum, format_value
 
 __all__ = [
@@ -72,44 +72,40 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectrumPredicate:
-    """A property of the clustered L-spectrum used to filter scans.  A
-    target value matches an eigenvalue within the cluster tolerance.
+    """A property of the clustered L-spectrum used to filter scans, in the
+    three forms of PREDICATE_GRAMMAR.  The target eigenvalue 1 matches an
+    eigenvalue within the cluster tolerance.
 
     kinds:
-      "distinct"              -- exactly k distinct eigenvalues
-      "distinct-with-value"   -- exactly k distinct, one equal to `value`
-      "second-distinct-value" -- second-least distinct eigenvalue = `value`
+      "distinct"          -- exactly k distinct eigenvalues
+      "distinct-with-one" -- exactly k distinct, one of them 1
+      "second-least-one"  -- second-least distinct eigenvalue = 1
     """
 
     kind: str
     k: int | None = None
-    value: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("distinct", "distinct-with-value", "second-distinct-value"):
+        if self.kind not in ("distinct", "distinct-with-one", "second-least-one"):
             raise ValueError(f"unknown predicate kind {self.kind!r}")
-        if self.kind in ("distinct", "distinct-with-value") and (self.k is None or self.k < 1):
+        if self.kind != "second-least-one" and (self.k is None or self.k < 1):
             raise ValueError("predicate needs a positive distinct count")
-        if self.kind in ("distinct-with-value", "second-distinct-value") and self.value is None:
-            raise ValueError("predicate needs a target value")
 
     def describe(self) -> str:
         if self.kind == "distinct":
             return f"{self.k} distinct L-eigenvalues"
-        if self.kind == "distinct-with-value":
-            return f"{self.k} distinct L-eigenvalues including {format_value(self.value)}"
-        return f"second-least distinct L-eigenvalue = {format_value(self.value)}"
+        if self.kind == "distinct-with-one":
+            return f"{self.k} distinct L-eigenvalues including {format_value(1.0)}"
+        return f"second-least distinct L-eigenvalue = {format_value(1.0)}"
 
     def matches(self, spec: Spectrum) -> bool:
         """Exact-route evaluation on a clustered spectrum."""
         tol = spec.cluster_tol
         if self.kind == "distinct":
             return spec.distinct_count == self.k
-        if self.kind == "distinct-with-value":
-            return spec.distinct_count == self.k and any(
-                abs(v - self.value) <= tol for v in spec.values
-            )
-        return spec.distinct_count >= 2 and abs(spec.values[-2] - self.value) <= tol
+        if self.kind == "distinct-with-one":
+            return spec.distinct_count == self.k and any(abs(v - 1.0) <= tol for v in spec.values)
+        return spec.distinct_count >= 2 and abs(spec.values[-2] - 1.0) <= tol
 
     def matches_batch(self, vals: np.ndarray, cluster_tol: float) -> np.ndarray:
         """Fast-route evaluation on ascending eigenvalue rows (B, n)."""
@@ -117,17 +113,15 @@ class SpectrumPredicate:
         distinct = 1 + (gaps > cluster_tol).sum(axis=1)
         if self.kind == "distinct":
             return distinct == self.k
-        if self.kind == "distinct-with-value":
-            return (distinct == self.k) & (
-                np.abs(vals - self.value) <= cluster_tol
-            ).any(axis=1)
+        if self.kind == "distinct-with-one":
+            return (distinct == self.k) & (np.abs(vals - 1.0) <= cluster_tol).any(axis=1)
         if vals.shape[1] == 1:
             return np.zeros(len(vals), dtype=bool)
         new = gaps > cluster_tol
         has_gap = new.any(axis=1)
         first = np.argmax(new, axis=1)
         second = vals[np.arange(len(vals)), first + 1]
-        return has_gap & (np.abs(second - self.value) <= cluster_tol)
+        return has_gap & (np.abs(second - 1.0) <= cluster_tol)
 
 
 PREDICATE_GRAMMAR = """\
@@ -139,14 +133,11 @@ second-least-one      second-least distinct L-eigenvalue equal to 1"""
 def parse_predicate(token: str) -> SpectrumPredicate:
     """Parse a predicate token (see PREDICATE_GRAMMAR)."""
     token = token.strip()
-    if token.startswith("distinct:"):
-        return SpectrumPredicate(kind="distinct", k=int(token.split(":", 1)[1]))
-    if token.startswith("distinct-with-one:"):
-        return SpectrumPredicate(
-            kind="distinct-with-value", k=int(token.split(":", 1)[1]), value=1.0
-        )
+    for kind in ("distinct", "distinct-with-one"):
+        if token.startswith(kind + ":"):
+            return SpectrumPredicate(kind=kind, k=int(token.split(":", 1)[1]))
     if token == "second-least-one":
-        return SpectrumPredicate(kind="second-distinct-value", value=1.0)
+        return SpectrumPredicate(kind="second-least-one")
     raise ValueError(
         f"cannot parse predicate token {token!r}; known forms:\n{PREDICATE_GRAMMAR}"
     )
@@ -415,16 +406,7 @@ def _orbit_minima(subsets, gens: list[tuple[int, ...]]):
 def _is_cut_vertex(adj: tuple[int, ...], v: int) -> bool:
     """Whether deleting v disconnects the connected graph with rows `adj`."""
     rest = ((1 << len(adj)) - 1) ^ (1 << v)
-    seen = frontier = rest & -rest
-    while frontier:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            reach |= adj[low.bit_length() - 1]
-        frontier = reach & rest & ~seen
-        seen |= frontier
-    return seen != rest
+    return reach(adj, (rest & -rest).bit_length() - 1, rest) != rest
 
 
 def _rivals(adj: tuple[int, ...]) -> list[int] | None:
@@ -518,8 +500,7 @@ def _relabel(
     position = [0] * len(order)
     for i, v in enumerate(order):
         position[v] = i
-    rows = tuple(sum(1 << i for i, u in enumerate(order) if adj[v] >> u & 1) for v in order)
-    return rows, [tuple(position[perm[v]] for v in order) for perm in gens]
+    return relabel(adj, order), [tuple(position[perm[v]] for v in order) for perm in gens]
 
 
 # ---------------------------------------------------------------------------

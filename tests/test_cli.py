@@ -823,6 +823,13 @@ def test_cluster_tol_flag_and_env(capsys, monkeypatch):
         assert code == 2 and "SPECLAP_TOL" in err, bad
 
 
+def test_non_numeric_env_tol_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("SPECLAP_TOL", "abc")
+    code, out, err = run(capsys, "spectrum", "C5")
+    assert (code, out) == (2, "")
+    assert "SPECLAP_TOL must be positive and finite, got 'abc'" in err
+
+
 def test_tol_is_refused_by_commands_that_do_not_cluster(capsys):
     for argv in [
         ("construct", "C5"),

@@ -26,7 +26,7 @@ from speclap.designs import (
     sylvester,
     sylvester_of_order,
 )
-from speclap.graph import bipartite_split, is_connected
+from speclap.graph import Graph, bipartite_split, is_connected
 from speclap.nlspec import adjacency_spectrum
 from speclap.linalg import spectra_match
 
@@ -219,6 +219,19 @@ def test_design_complement():
     assert np.array_equal(complement(c).incidence, d.incidence)
 
 
+def test_designs_and_hadamard_matrices_compare_by_array():
+    fano = hadamard_to_design(hadamard_of_order(8))
+    assert fano == complement(complement(fano))
+    assert fano != complement(fano)
+    assert fano != fano.incidence and fano != "fano"
+    assert hadamard_of_order(4) == hadamard_of_order(4)
+    assert hadamard_of_order(4) != hadamard_of_order(8)
+    assert hadamard_of_order(8) != fano
+    for unhashable in (fano, hadamard_of_order(4)):
+        with pytest.raises(TypeError):
+            hash(unhashable)
+
+
 def test_design_validation():
     with pytest.raises(ValueError):
         Design(np.array([[1, 0], [1, 1]]))  # r not constant
@@ -248,8 +261,37 @@ def test_incidence_graph_structure():
     degs = g.degrees()
     assert all(degs[i] == d.r for i in range(d.v))
     assert all(degs[d.v + j] == d.k for j in range(d.b))
-    side1, side2 = split.sides(g.n)
+    side1, side2 = split.sides()
     assert sorted(side1 + side2) == list(range(g.n))
+
+
+def _incidence_graph_per_entry(d):
+    """The point-block graph entry by entry over the incidence matrix."""
+    rows = [0] * (d.v + d.b)
+    for i in range(d.v):
+        for j in range(d.b):
+            if d.incidence[i, j]:
+                rows[i] |= 1 << (d.v + j)
+                rows[d.v + j] |= 1 << i
+    return Graph(d.v + d.b, tuple(rows))
+
+
+# the Hadamard matrices of the benchmark's design chains
+CHAIN_HADAMARDS = [
+    *[pytest.param(sylvester_of_order, m, id=f"sylvester-{m}") for m in (4, 8, 16, 32)],
+    *[pytest.param(paley1, q, id=f"paley1-{q}") for q in (3, 7, 11, 19, 23, 27, 31)],
+    *[pytest.param(paley2, q, id=f"paley2-{q}") for q in (5, 9, 13)],
+]
+
+
+@pytest.mark.parametrize("method, size", CHAIN_HADAMARDS)
+def test_incidence_graph_matches_per_entry_reference(method, size):
+    h = method(size) if method is sylvester_of_order else method(FiniteField(*prime_power(size)))
+    d = hadamard_to_design(h)
+    for design in (d, complement(d)):
+        g, split = incidence_graph(design)
+        assert g == _incidence_graph_per_entry(design)
+        assert (split.part1, split.part2) == ((1 << d.v) - 1, ((1 << d.b) - 1) << d.v)
 
 
 def test_incidence_adjacency_spectrum_symmetric():

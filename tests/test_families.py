@@ -58,7 +58,7 @@ def test_family_input_validation():
 def test_add_pendants():
     g = add_pendants(cycle(3), {0: 2, 2: 1})
     assert g.n == 6 and g.m == 6
-    assert g.degree(0) == 4 and g.degree(2) == 3
+    assert g.degrees()[0] == 4 and g.degrees()[2] == 3
     assert sorted(g.degrees())[:3] == [1, 1, 1]
     with pytest.raises(ValueError):
         add_pendants(cycle(3), {5: 1})
@@ -227,8 +227,8 @@ def test_pendant_join_requires_bipartite():
 def test_pendant_join_on_even_cycle():
     g = pendant_join(cycle(6))
     assert g.n == 8
-    assert g.degree(6) == 4  # apex: one side (3 vertices) plus the pendant
-    assert g.degree(7) == 1
+    assert g.degrees()[6] == 4  # apex: one side (3 vertices) plus the pendant
+    assert g.degrees()[7] == 1
 
 
 def test_pendant_join_family_structure():
@@ -240,7 +240,7 @@ def test_pendant_join_family_structure():
         assert bipartite_split(g) is not None
         degs = sorted(g.degrees())
         assert degs[0] == 1 and degs[-1] == 4 * t
-        side1, side2 = split.sides(n)
+        side1, side2 = split.sides()
         assert len(side1) == len(side2) == n // 2
 
 

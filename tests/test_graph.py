@@ -21,6 +21,8 @@ from speclap.graph import (
     induced_subgraph,
     is_complete_multipartite,
     is_connected,
+    reach,
+    relabel,
     to_graph6,
     to_json_dict,
 )
@@ -53,13 +55,10 @@ def test_graph_validates_input():
 def test_basic_queries():
     g = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
     assert g.m == 3
-    assert g.degree(1) == 2
+    assert g.adj == (0b0010, 0b0101, 0b1010, 0b0100)
+    assert list(g.degrees()) == [1, 2, 2, 1]
     assert list(g.neighbors(1)) == [0, 2]
     assert sorted(g.edges()) == [(0, 1), (1, 2), (2, 3)]
-    assert g.has_edge(2, 1) and not g.has_edge(0, 3)
-    a = g.adjacency_matrix()
-    assert np.array_equal(a, a.T)
-    assert a.sum() == 2 * g.m
 
 
 def test_components_and_connectivity():
@@ -82,7 +81,7 @@ def test_connectivity_matches_networkx():
 def test_bipartite_split_even_cycle():
     split = bipartite_split(cycle(6))
     assert split is not None
-    side1, side2 = split.sides(6)
+    side1, side2 = split.sides()
     assert sorted(side1 + side2) == list(range(6))
     assert set(side1) == {0, 2, 4} or set(side1) == {1, 3, 5}
 
@@ -134,6 +133,30 @@ def test_induced_subgraph():
     g = complete_bipartite(2, 3)
     sub = induced_subgraph(g, [0, 2, 3])
     assert sub.n == 3 and sub.m == 2
+    for bad in ([0, 0], [0, 5], [-1]):
+        with pytest.raises(ValueError):
+            induced_subgraph(g, bad)
+
+
+def test_relabel_matches_networkx_induced_subgraph():
+    rng = np.random.default_rng(41)
+    for n in (1, 5, 9, 64):
+        g = random_graph(n, 0.4, rng)
+        h = nx.Graph(list(g.edges()))
+        h.add_nodes_from(range(n))
+        order = [int(v) for v in rng.permutation(n)[: rng.integers(1, n + 1)]]
+        want = nx.relabel_nodes(h.subgraph(order), {v: i for i, v in enumerate(order)})
+        sub = induced_subgraph(g, order)
+        assert sub.adj == relabel(g.adj, order)
+        assert sorted(sub.edges()) == sorted(tuple(sorted(e)) for e in want.edges())
+
+
+def test_reach_stays_within_its_mask():
+    g = path(5)
+    assert reach(g.adj, 0, 0b11111) == 0b11111
+    assert reach(g.adj, 0, 0b11011) == 0b00011  # vertex 2 cut out
+    assert reach(g.adj, 4, 0b11011) == 0b11000
+    assert reach(g.adj, 2, 0b00100) == 0b00100
 
 
 def test_complement():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from closed_forms import cycle_l_values
 from speclap import nlspec
+from speclap.designs import hadamard_to_design, incidence_graph, sylvester_of_order
 from speclap.families import (
     complete,
     complete_bipartite,
@@ -21,14 +22,13 @@ from speclap.families import (
     unicyclic,
 )
 from speclap.graph import (
-    Graph,
     bipartite_split,
     duplicate_classes,
     from_edge_list,
     from_graph6,
     to_graph6,
 )
-from speclap.linalg import cluster_spectrum
+from speclap.linalg import cluster_spectrum, jacobi_eigen
 from speclap.nlspec import (
     FACTORIZATION_TOL,
     SUITES,
@@ -125,6 +125,18 @@ def test_adjacency_spectrum():
         (pytest.approx(0.0, abs=1e-12), 2),
         (pytest.approx(-2.0, abs=1e-12), 1),
     )
+
+
+def test_adjacency_spectrum_matches_networkx_matrix_bit_for_bit():
+    # A comes from the rows through `build`; the oracle reads it off networkx
+    hosts = list(nx.graph_atlas_g())
+    g, _ = incidence_graph(hadamard_to_design(sylvester_of_order(32)))
+    hosts.append(nx.Graph(list(g.edges())))
+    assert hosts[-1].number_of_nodes() == 62
+    for h in hosts:
+        g = from_edge_list(h.number_of_nodes(), list(h.edges()))
+        want = cluster_spectrum(jacobi_eigen(nx.to_numpy_array(h, nodelist=sorted(h))))
+        assert adjacency_spectrum(g) == want, to_graph6(g)
 
 
 # -- fundamentals suite (lemma22) ----------------------------------------
@@ -342,7 +354,7 @@ def _inverse_degree_sum(d, verts):
 
 
 def _common_sum(g, d, u, v):
-    return _inverse_degree_sum(d, [w for w in g.neighbors(u) if g.has_edge(w, v)])
+    return _inverse_degree_sum(d, [w for w in g.neighbors(u) if g.adj[w] >> v & 1])
 
 
 def reference_three_ev(g, alpha, beta):
@@ -356,7 +368,7 @@ def reference_three_ev(g, alpha, beta):
     adj, non = [0.0], [0.0]
     for u, v in itertools.combinations(range(g.n), 2):
         lhs = _common_sum(g, d, u, v)
-        if g.has_edge(u, v):
+        if g.adj[u] >> v & 1:
             adj.append(abs(lhs - (coef * d[u] * d[v] - (alpha + beta - 2))))
         else:
             non.append(abs(lhs - coef * d[u] * d[v]))
@@ -374,7 +386,7 @@ def reference_four_ev_diagonal(g, alpha, beta, gamma):
     worst = 0.0
     for u in range(g.n):
         nbrs = list(g.neighbors(u))
-        t_u = sum(1.0 / (d[v] * d[w]) for v in nbrs for w in nbrs if g.has_edge(v, w))
+        t_u = sum(1.0 / (d[v] * d[w]) for v in nbrs for w in nbrs if g.adj[v] >> w & 1)
         lhs = (
             t_u
             + (alpha + beta + gamma - 3) * _inverse_degree_sum(d, nbrs)
@@ -393,7 +405,7 @@ def reference_bipartite_four_ev(g, alpha):
         rhs = (1 - alpha) ** 2 * d[u] + coef * d[u] ** 2
         vertex = max(vertex, abs(_inverse_degree_sum(d, g.neighbors(u)) - rhs))
     pairs = [0.0]
-    for side in bipartite_split(g).sides(g.n):
+    for side in bipartite_split(g).sides():
         for u, v in itertools.combinations(side, 2):
             pairs.append(abs(_common_sum(g, d, u, v) - coef * d[u] * d[v]))
     return {"bipartite-vertex-identity": vertex, "bipartite-same-side-pairs": max(pairs)}
@@ -714,30 +726,29 @@ def test_report_carries_its_registry_name(name):
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_suite_assembles_and_solves_l_once(name, token, monkeypatch):
     g = parse_family(token)
-    built, solved, adjacency = [], [], []
-    real_build, real_jacobi = nlspec.build, nlspec.jacobi_eigen
-    real_adjacency = Graph.adjacency_matrix
+    built, assembled, solved = [], [], []
+    real_build, real_assemble, real_jacobi = nlspec.build, nlspec.assemble, nlspec.jacobi_eigen
 
     def counting_build(h):
         built.append(h)
         return real_build(h)
 
+    def counting_assemble(adjs, n):
+        assembled.append(n)
+        return real_assemble(adjs, n)
+
     def counting_jacobi(m, *args, **kwargs):
         solved.append(len(m))
         return real_jacobi(m, *args, **kwargs)
 
-    def counting_adjacency(h):
-        adjacency.append(h)
-        return real_adjacency(h)
-
     monkeypatch.setattr(nlspec, "build", counting_build)
     monkeypatch.setattr(nlspec, "jacobi_eigen", counting_jacobi)
-    monkeypatch.setattr(Graph, "adjacency_matrix", counting_adjacency)
+    monkeypatch.setattr(nlspec, "assemble", counting_assemble)
     SUITES[name](SpectralContext(g))
     assert len(built) <= 1
     # every suite, the factorization's biadjacency block included, reads A
-    # from the context's bundle
-    assert len(adjacency) <= 1
+    # from the context's bundle: rows become a matrix at most once
+    assert len(assembled) <= 1
     assert solved.count(g.n) <= 1
     # besides L, only the factorization suite solves a matrix: the smaller
     # Gram matrix of the biadjacency block

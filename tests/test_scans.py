@@ -48,9 +48,9 @@ def test_parse_predicate_forms():
     p = parse_predicate("distinct:3")
     assert p.kind == "distinct" and p.k == 3
     p = parse_predicate("distinct-with-one:4")
-    assert p.kind == "distinct-with-value" and p.k == 4 and p.value == 1.0
+    assert p.kind == "distinct-with-one" and p.k == 4
     p = parse_predicate("second-least-one")
-    assert p.kind == "second-distinct-value" and p.value == 1.0
+    assert p.kind == "second-least-one" and p.k is None
     for bad in ["", "distinct", "distinct:0", "nope:3", "distinct-with-one:x"]:
         with pytest.raises(ValueError):
             parse_predicate(bad)
